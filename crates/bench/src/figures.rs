@@ -7,8 +7,8 @@
 use zr_dram::RefreshPolicy;
 use zr_energy::{power::DevicePowerModel, sram};
 use zr_sim::experiments::{
-    datacenter, energy, ipc, ipc_sim, parallel, priorwork, refresh, scalability, zeros,
-    ExperimentConfig,
+    column_means, datacenter, energy, ipc, ipc_sim, parallel, priorwork, refresh, scalability,
+    zeros, ExperimentConfig,
 };
 use zr_sim::IpcModel;
 use zr_types::{Result, SystemConfig, TemperatureMode, TransformConfig};
@@ -100,10 +100,9 @@ pub fn fig14_refresh_reduction(exp: &ExperimentConfig) -> Result<Vec<(String, [f
 /// [`fig14_refresh_reduction`] restricted to a benchmark subset (the
 /// conformance golden gate pins a fast representative slice).
 ///
-/// Cells are measured on the sweep pool (one job per benchmark ×
-/// allocation cell, in the serial loop's bench-major order) and printed
-/// serially afterwards, so stdout and the JSON report are byte-identical
-/// for every `ZR_THREADS`.
+/// Cells are measured on the sweep pool ([`refresh::allocation_sweep`])
+/// and printed serially afterwards, so stdout and the JSON report are
+/// byte-identical for every `ZR_THREADS`.
 ///
 /// # Errors
 ///
@@ -114,26 +113,10 @@ pub fn fig14_refresh_reduction_for(
 ) -> Result<Vec<(String, [f64; 4])>> {
     report::header("Fig. 14: Normalized refresh operations (100/88/70/28% alloc)");
     report::columns("benchmark", &["100%", "88%", "70%", "28%"]);
-    let allocs = [1.0, 0.88, 0.70, 0.28];
-    let flat = parallel::sweep_with(exp.effective_threads(), benches.len() * allocs.len(), |i| {
-        Ok(refresh::measure(benches[i / allocs.len()], allocs[i % allocs.len()], exp)?.normalized)
-    })?;
-    let mut rows = Vec::new();
-    let mut means = [0.0f64; 4];
-    for (bi, &b) in benches.iter().enumerate() {
-        let mut cells = [0.0f64; 4];
-        for (i, cell) in cells.iter_mut().enumerate() {
-            *cell = flat[bi * allocs.len() + i];
-            means[i] += *cell;
-        }
-        report::row(b.name(), &cells);
-        rows.push((b.name().to_string(), cells));
-    }
-    for m in &mut means {
-        *m /= benches.len() as f64;
-    }
-    report::row("mean", &means);
+    let table = refresh::allocation_sweep(benches, &refresh::PAPER_ALLOCS, exp)?;
+    print_table(benches, &table);
     println!("(paper means: 0.629 / 0.54 / 0.43 / 0.17 — i.e. 37/46/57/83% reduction)");
+    let rows = named_rows(benches, &table);
     report::write_json("fig14_refresh_reduction", &rows);
     Ok(rows)
 }
@@ -159,29 +142,10 @@ pub fn fig15_energy_for(
 ) -> Result<Vec<(String, [f64; 4])>> {
     report::header("Fig. 15: Normalized refresh energy (overheads included)");
     report::columns("benchmark", &["100%", "88%", "70%", "28%"]);
-    let allocs = [1.0, 0.88, 0.70, 0.28];
-    let flat = parallel::sweep_with(exp.effective_threads(), benches.len() * allocs.len(), |i| {
-        Ok(
-            energy::measure(benches[i / allocs.len()], allocs[i % allocs.len()], exp)?
-                .normalized_energy,
-        )
-    })?;
-    let mut rows = Vec::new();
-    let mut means = [0.0f64; 4];
-    for (bi, &b) in benches.iter().enumerate() {
-        let mut cells = [0.0f64; 4];
-        for (i, cell) in cells.iter_mut().enumerate() {
-            *cell = flat[bi * allocs.len() + i];
-            means[i] += *cell;
-        }
-        report::row(b.name(), &cells);
-        rows.push((b.name().to_string(), cells));
-    }
-    for m in &mut means {
-        *m /= benches.len() as f64;
-    }
-    report::row("mean", &means);
+    let table = energy::allocation_sweep(benches, &refresh::PAPER_ALLOCS, exp)?;
+    print_table(benches, &table);
     println!("(paper means: 0.635 / 0.56 / 0.45 / 0.18 — 36.5/44/55/82% saved)");
+    let rows = named_rows(benches, &table);
     report::write_json("fig15_energy", &rows);
     Ok(rows)
 }
@@ -208,22 +172,40 @@ pub fn fig16_temperature_for(
 ) -> Result<Vec<(String, f64, f64)>> {
     report::header("Fig. 16: Normalized refresh, extended (32ms) vs normal (64ms)");
     report::columns("benchmark", &["32ms", "64ms"]);
-    let pairs = parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
-        refresh::temperature_compare(benches[i], exp)
-    })?;
-    let mut out = Vec::new();
-    let (mut m32, mut m64) = (0.0, 0.0);
-    for (&b, (ext, norm)) in benches.iter().zip(&pairs) {
-        report::row(b.name(), &[ext.normalized, norm.normalized]);
-        m32 += ext.normalized;
-        m64 += norm.normalized;
-        out.push((b.name().to_string(), ext.normalized, norm.normalized));
-    }
-    let n = benches.len() as f64;
-    report::row("mean", &[m32 / n, m64 / n]);
+    let table = refresh::temperature_sweep(benches, exp)?;
+    print_table(benches, &table);
     println!("(paper: ~4.4 pp less reduction at normal temperature)");
+    let out: Vec<(String, f64, f64)> = benches
+        .iter()
+        .zip(&table)
+        .map(|(b, cells)| (b.name().to_string(), cells[0], cells[1]))
+        .collect();
     report::write_json("fig16_temperature", &out);
     Ok(out)
+}
+
+/// Prints a bench-major figure table — one row per benchmark — and its
+/// column means.
+fn print_table(benches: &[Benchmark], table: &[Vec<f64>]) {
+    for (b, cells) in benches.iter().zip(table) {
+        report::row(b.name(), cells);
+    }
+    report::row("mean", &column_means(table));
+}
+
+/// The rows of a bench-major figure table under their benchmark names.
+fn named_rows<const N: usize>(
+    benches: &[Benchmark],
+    table: &[Vec<f64>],
+) -> Vec<(String, [f64; N])> {
+    benches
+        .iter()
+        .zip(table)
+        .map(|(b, cells)| {
+            let cells = cells.as_slice().try_into().expect("one cell per column");
+            (b.name().to_string(), cells)
+        })
+        .collect()
 }
 
 /// Fig. 17 — normalized IPC per benchmark, from both the closed-form
@@ -268,28 +250,13 @@ pub fn fig18_row_size(exp: &ExperimentConfig) -> Result<Vec<(String, [f64; 3])>>
     report::header("Fig. 18: Normalized refresh with 2K/4K/8K row buffers");
     report::columns("benchmark", &["2KB", "4KB", "8KB"]);
     let benches = Benchmark::all();
-    let sweeps = parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
-        refresh::row_size_sweep(benches[i], exp)
+    let table = parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
+        let sweep = refresh::row_size_sweep(benches[i], exp)?;
+        Ok(sweep.iter().map(|(_, m)| m.normalized).collect())
     })?;
-    let mut rows = Vec::new();
-    let mut means = [0.0f64; 3];
-    for (&b, sweep) in benches.iter().zip(&sweeps) {
-        let cells = [
-            sweep[0].1.normalized,
-            sweep[1].1.normalized,
-            sweep[2].1.normalized,
-        ];
-        report::row(b.name(), &cells);
-        for (m, c) in means.iter_mut().zip(cells) {
-            *m += c;
-        }
-        rows.push((b.name().to_string(), cells));
-    }
-    for m in &mut means {
-        *m /= Benchmark::all().len() as f64;
-    }
-    report::row("mean", &means);
+    print_table(benches, &table);
     println!("(paper mean reductions: 46.3% / 37.7% / 33.9%)");
+    let rows = named_rows(benches, &table);
     report::write_json("fig18_row_size", &rows);
     Ok(rows)
 }
@@ -487,7 +454,10 @@ pub fn word_size_ablation(exp: &ExperimentConfig) -> Result<Vec<(usize, f64)>> {
     for word_bytes in [2usize, 4, 8] {
         let mut sum = 0.0;
         for &b in &sample {
-            sum += refresh_with_word(b, word_bytes, exp)?;
+            let (m, _) = refresh::measure_cell(b, 1.0, RefreshPolicy::ChargeAware, exp, |cfg| {
+                cfg.line.word_bytes = word_bytes
+            })?;
+            sum += m.normalized;
         }
         let norm = sum / sample.len() as f64;
         report::row(&format!("{word_bytes}B"), &[norm, 1.0 - norm]);
@@ -496,34 +466,6 @@ pub fn word_size_ablation(exp: &ExperimentConfig) -> Result<Vec<(usize, f64)>> {
     println!("(the paper evaluates 8-byte words; smaller words shorten deltas)");
     report::write_json("word_size_ablation", &out);
     Ok(out)
-}
-
-fn refresh_with_word(b: Benchmark, word_bytes: usize, exp: &ExperimentConfig) -> Result<f64> {
-    // refresh::measure builds its config from the ExperimentConfig, which
-    // has no word-size knob; run the populated-system flow directly.
-    use zr_sim::experiments::population;
-    use zr_types::geometry::LineAddr;
-    use zr_workloads::image::LINES_PER_REGION;
-    use zr_workloads::trace::TraceGenerator;
-    let mut ps = population::build_system_with(b, 1.0, RefreshPolicy::ChargeAware, exp, |cfg| {
-        cfg.line.word_bytes = word_bytes
-    })?;
-    let mut trace = TraceGenerator::new(
-        b.profile(),
-        ps.region_classes.clone(),
-        LINES_PER_REGION,
-        b.derive_seed(exp.seed) ^ 0xACCE55,
-    );
-    ps.system.run_refresh_window();
-    let mut stats = zr_dram::WindowStats::default();
-    for _ in 0..exp.windows {
-        for w in trace.window_writes(exp.window_scale()) {
-            let line = LineAddr(w.page * LINES_PER_REGION as u64 + w.line_in_page as u64);
-            ps.system.write_line(line, &w.data)?;
-        }
-        stats.accumulate(&ps.system.run_refresh_window());
-    }
-    Ok(stats.normalized_refreshes())
 }
 
 /// Prior-work comparison (§II-D): ZERO-REFRESH vs ZIB vs the validity

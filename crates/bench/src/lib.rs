@@ -253,7 +253,7 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
                 artifacts,
                 volatile: zr_lens::Volatile {
                     wall_ns: wall.as_nanos() as u64,
-                    peak_rss_bytes: zr_lens::peak_rss_bytes(),
+                    peak_rss_bytes: zr_prof::clock::peak_rss_bytes(),
                     calibration_wall_ns,
                     artifacts: volatile_artifacts,
                 },

@@ -209,10 +209,12 @@ pub fn run_differential(
     commands: &[Command],
 ) -> Result<Option<Box<DivergenceReport>>> {
     let mut rank = DramRank::new(config)?;
-    let mut engine = RefreshEngine::with_granularity(config, setup.policy, setup.granularity)?;
-    engine.set_telemetry(Arc::new(Telemetry::new()));
     let recorder = Arc::new(TraceRecorder::memory());
-    engine.set_trace(Arc::clone(&recorder));
+    let mut engine = {
+        let _telemetry = Telemetry::push_current(Arc::new(Telemetry::new()));
+        let _trace = TraceRecorder::push_current(Arc::clone(&recorder));
+        RefreshEngine::with_granularity(config, setup.policy, setup.granularity)?
+    };
     engine.set_stagger_skew(setup.engine_skew);
     let mut oracle = RefOracle::new(config, oracle_policy(setup.policy));
     oracle.stagger_skew = setup.oracle_skew;

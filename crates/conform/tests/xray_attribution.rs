@@ -19,9 +19,9 @@ use zr_xray::{stage_combo, XrayRecorder, XraySnapshot};
 fn transformer(stages: TransformConfig) -> (ValueTransformer, Arc<XrayRecorder>) {
     let mut config = SystemConfig::small_test();
     config.transform = stages;
-    let mut t = ValueTransformer::new(&config).expect("transformer");
     let xray = Arc::new(XrayRecorder::memory_with_cap(8));
-    t.set_xray(Arc::clone(&xray));
+    let _xray = XrayRecorder::push_current(Arc::clone(&xray));
+    let t = ValueTransformer::new(&config).expect("transformer");
     (t, xray)
 }
 

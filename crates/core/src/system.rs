@@ -1,6 +1,6 @@
 //! The top-level ZERO-REFRESH system handle.
 
-use zr_dram::{RefreshPolicy, SweepArena, WindowStats};
+use zr_dram::{RefreshPolicy, WindowStats};
 use zr_energy::{EnergyAccountant, EnergyBreakdown};
 use zr_memctrl::{AccessStats, MemoryController};
 use zr_types::geometry::LineAddr;
@@ -87,21 +87,6 @@ impl ZeroRefreshSystem {
         &mut self.controller
     }
 
-    /// Routes all metrics and events of this system to `telemetry`
-    /// instead of the process-global instance (hermetic tests, side-by-
-    /// side comparisons). Cascades to the controller, refresh engine and
-    /// transformer.
-    pub fn set_telemetry(&mut self, telemetry: std::sync::Arc<zr_telemetry::Telemetry>) {
-        self.controller.set_telemetry(telemetry);
-    }
-
-    /// Routes this system's charge-domain xray capture to `xray` instead
-    /// of the process-wide recorder (hermetic tests, side-by-side
-    /// comparisons). Cascades to the refresh engine and transformer.
-    pub fn set_xray(&mut self, xray: std::sync::Arc<zr_xray::XrayRecorder>) {
-        self.controller.set_xray(xray);
-    }
-
     /// Read/write traffic counters.
     pub fn access_stats(&self) -> AccessStats {
         self.controller.stats()
@@ -114,21 +99,6 @@ impl ZeroRefreshSystem {
     /// Propagates the controller's length/address errors.
     pub fn write_line(&mut self, addr: LineAddr, data: &[u8]) -> Result<()> {
         self.controller.write_line(addr, data)
-    }
-
-    /// [`Self::write_line`] against the caller's sweep arena (the
-    /// allocation-free form the experiment drivers use).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the controller's length/address errors.
-    pub fn write_line_with(
-        &mut self,
-        addr: LineAddr,
-        data: &[u8],
-        arena: &mut SweepArena,
-    ) -> Result<()> {
-        self.controller.write_line_with(addr, data, arena)
     }
 
     /// Reads one cacheline.

@@ -49,13 +49,11 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod arena;
 pub mod rank;
 pub mod refresh;
 pub mod retention;
 pub mod tracking;
 
-pub use arena::SweepArena;
 pub use rank::DramRank;
 pub use refresh::{RefreshEngine, RefreshGranularity, RefreshPolicy, WindowStats};
 pub use retention::RetentionProfile;

@@ -425,34 +425,9 @@ impl RefreshEngine {
         Ok(engine)
     }
 
-    /// Routes this engine's metrics and events to `telemetry` instead of
-    /// the process-wide instance (hermetic tests, side-by-side engines).
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = RefreshMetrics::new(&telemetry);
-        self.telemetry = telemetry;
-        self.export_table_sizes();
-    }
-
-    /// Routes this engine's flight-recorder records to `trace` instead of
-    /// the process-wide recorder (hermetic tests), taking a fresh engine
-    /// id from `trace` and re-announcing the engine's meta record there.
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.engine_id = trace.next_engine_id();
-        self.trace = trace;
-        self.announce_trace();
-    }
-
     /// The flight-recorder source id of this engine's records.
     pub fn trace_engine_id(&self) -> u8 {
         self.engine_id
-    }
-
-    /// Routes this engine's charge-domain capture to `xray` instead of
-    /// the process-wide recorder (hermetic tests, pool workers),
-    /// re-announcing the engine there.
-    pub fn set_xray(&mut self, xray: Arc<XrayRecorder>) {
-        self.xray = xray;
-        self.xray_engine = self.announce_xray();
     }
 
     /// Registers this engine with its xray recorder and returns the
@@ -1186,9 +1161,11 @@ mod tests {
     #[test]
     fn xray_capture_matches_window_totals() {
         let (cfg, mut rank) = system();
-        let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
         let xray = Arc::new(XrayRecorder::memory_with_cap(16));
-        eng.set_xray(Arc::clone(&xray));
+        let mut eng = {
+            let _xray = XrayRecorder::push_current(Arc::clone(&xray));
+            RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap()
+        };
         let w1 = eng.run_window(&mut rank);
         let w2 = eng.run_window(&mut rank);
         let snap = xray.snapshot();
@@ -1683,13 +1660,6 @@ mod tests {
         );
     }
 
-    /// FNV-1a 64 of a byte string.
-    fn fnv64(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-        })
-    }
-
     #[test]
     fn multi_row_scan_window_trace_is_pinned() {
         // 1 bank of 16384 rows: ar_rows = 2, under the 8-chip stagger
@@ -1704,9 +1674,11 @@ mod tests {
         let mut rank = DramRank::new(&cfg).unwrap();
         assert_eq!(rank.geometry().ar_rows(), 2);
         rank.add_spared_row(BankId(0), RowIndex(77));
-        let mut engine = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
         let trace = Arc::new(TraceRecorder::memory());
-        engine.set_trace(Arc::clone(&trace));
+        let mut engine = {
+            let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+            RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap()
+        };
         for i in 0..40u64 {
             let row = RowIndex((i * 409 + 75) % 16384);
             let pattern = rank.cell_type(row).discharged_byte();
@@ -1723,7 +1695,7 @@ mod tests {
         engine.run_window(&mut rank);
         let bytes = trace.take_bytes();
         assert_eq!(zr_trace::parse_trace(&bytes).unwrap().len(), 139_086);
-        assert_eq!(fnv64(&bytes), 0xf228_071a_15fe_01d1);
+        assert_eq!(zr_types::fnv64(&bytes), 0xf228_071a_15fe_01d1);
     }
 
     #[test]
@@ -1740,10 +1712,12 @@ mod tests {
             let mut rank = DramRank::new(&cfg).unwrap();
             let geom = rank.geometry().clone();
             let bank = BankId(geom.num_banks() - 1);
-            let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-            eng.set_stagger_skew(skew);
             let trace = Arc::new(TraceRecorder::memory());
-            eng.set_trace(Arc::clone(&trace));
+            let mut eng = {
+                let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+                RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap()
+            };
+            eng.set_stagger_skew(skew);
             for row in [2, 9, 30] {
                 rank.write_encoded_line(bank, RowIndex(row), 0, &[0x5A; 64])
                     .unwrap();

@@ -20,6 +20,16 @@ fn counter_window(snapshot: &zr_telemetry::Snapshot) -> WindowStats {
     }
 }
 
+/// An engine built with `telemetry` as its current instance.
+fn engine_on(
+    telemetry: &Arc<Telemetry>,
+    cfg: &SystemConfig,
+    policy: RefreshPolicy,
+) -> RefreshEngine {
+    let _telemetry = Telemetry::push_current(Arc::clone(telemetry));
+    RefreshEngine::new(cfg, policy).unwrap()
+}
+
 fn delta(after: &WindowStats, before: &WindowStats) -> WindowStats {
     WindowStats {
         rows_refreshed: after.rows_refreshed - before.rows_refreshed,
@@ -34,9 +44,8 @@ fn delta(after: &WindowStats, before: &WindowStats) -> WindowStats {
 fn accumulated_window_stats_match_summed_counter_deltas() {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     let telemetry = Arc::new(Telemetry::new());
-    eng.set_telemetry(Arc::clone(&telemetry));
+    let mut eng = engine_on(&telemetry, &cfg, RefreshPolicy::ChargeAware);
 
     let mut accumulated = WindowStats::default();
     let mut prev = counter_window(&telemetry.snapshot());
@@ -82,10 +91,9 @@ fn accumulated_window_stats_match_summed_counter_deltas() {
 fn refresh_windows_emit_events_when_sink_installed() {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     let telemetry = Arc::new(Telemetry::new());
     let sink = telemetry.install_memory_sink();
-    eng.set_telemetry(Arc::clone(&telemetry));
+    let mut eng = engine_on(&telemetry, &cfg, RefreshPolicy::ChargeAware);
 
     eng.run_window(&mut rank);
     eng.run_window(&mut rank);
@@ -101,9 +109,8 @@ fn refresh_windows_emit_events_when_sink_installed() {
 fn detached_engine_records_nothing_on_the_private_instance() {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::Conventional).unwrap();
     let telemetry = Arc::new(Telemetry::new());
-    eng.set_telemetry(Arc::clone(&telemetry));
+    let mut eng = engine_on(&telemetry, &cfg, RefreshPolicy::Conventional);
     // Inactive instance: counters still accumulate (cheap), no events.
     eng.run_window(&mut rank);
     assert!(telemetry.snapshot().counter("dram.refresh.rows_refreshed") > 0);

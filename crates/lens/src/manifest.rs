@@ -45,20 +45,8 @@ pub const ENV_KNOBS: &[&str] = &[
     "ZR_SEED",
 ];
 
-/// FNV-1a 64-bit hash of `bytes`.
-///
-/// The same checksum every layer of the manifest uses; dependency-free
-/// and stable across platforms.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
+/// The checksum every layer of the manifest uses.
+pub use zr_types::fnv64;
 
 /// Renders a 64-bit hash the way the manifest stores it: 16 lowercase
 /// hex digits (JSON numbers are f64 and would corrupt the high bits).
@@ -431,33 +419,6 @@ pub fn env_knobs() -> BTreeMap<String, Option<String>> {
         .collect()
 }
 
-/// Peak resident set size of this process in bytes, from
-/// `/proc/self/status` `VmHWM` (`0` when unavailable — non-Linux, or
-/// early in process bring-up).
-pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-        0
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        0
-    }
-}
-
 mod registrar {
     //! Process-global artifact registration.
     //!
@@ -523,14 +484,6 @@ pub fn collect_artifacts(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn hex_round_trip() {

@@ -139,19 +139,6 @@ impl LastLevelCache {
         })
     }
 
-    /// Routes this cache's metrics and events to `telemetry` instead of
-    /// the process-wide instance.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = CacheMetrics::new(&telemetry);
-        self.telemetry = telemetry;
-    }
-
-    /// Routes this cache's flight-recorder records to `trace` instead of
-    /// the process-wide recorder.
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.trace = trace;
-    }
-
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
         self.sets.len()

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use zr_dram::{DramRank, RefreshEngine, RefreshPolicy, SweepArena, WindowStats};
+use zr_dram::{DramRank, RefreshEngine, RefreshPolicy, WindowStats};
 use zr_telemetry::{Counter, Telemetry};
 use zr_trace::{RecordKind, TraceRecord, TraceRecorder, SRC_MEMCTRL};
 use zr_transform::ValueTransformer;
@@ -57,10 +57,10 @@ pub struct MemoryController {
     telemetry: Arc<Telemetry>,
     metrics: ControllerMetrics,
     trace: Arc<TraceRecorder>,
-    /// Fallback scratch for callers of the arena-less convenience API.
-    /// Sweep drivers bypass it by passing their own [`SweepArena`] to the
-    /// `_with` variants.
-    arena: SweepArena,
+    /// Staging buffer the line is encoded and decoded in, in place.
+    line: Vec<u8>,
+    /// Delta-word scratch of the bit-plane stages.
+    deltas: Vec<u64>,
 }
 
 impl MemoryController {
@@ -80,35 +80,9 @@ impl MemoryController {
             telemetry: Telemetry::current(),
             metrics: ControllerMetrics::new(&Telemetry::current()),
             trace: TraceRecorder::current(),
-            arena: SweepArena::new(),
+            line: Vec::new(),
+            deltas: Vec::new(),
         })
-    }
-
-    /// Routes this controller's metrics and events — and those of its
-    /// refresh engine and transformer — to `telemetry` instead of the
-    /// process-wide instance.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = ControllerMetrics::new(&telemetry);
-        self.engine.set_telemetry(Arc::clone(&telemetry));
-        self.transformer.set_telemetry(Arc::clone(&telemetry));
-        self.telemetry = telemetry;
-    }
-
-    /// Routes this controller's flight-recorder records — and those of
-    /// its refresh engine and transformer — to `trace` instead of the
-    /// process-wide recorder (hermetic tests).
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.engine.set_trace(Arc::clone(&trace));
-        self.transformer.set_trace(Arc::clone(&trace));
-        self.trace = trace;
-    }
-
-    /// Routes the charge-domain xray capture of this controller's
-    /// refresh engine and transformer to `xray` instead of the
-    /// process-wide recorder (hermetic tests, parallel sweeps).
-    pub fn set_xray(&mut self, xray: Arc<zr_xray::XrayRecorder>) {
-        self.engine.set_xray(Arc::clone(&xray));
-        self.transformer.set_xray(xray);
     }
 
     /// The derived geometry.
@@ -144,39 +118,23 @@ impl MemoryController {
     /// Writes one cacheline: transform (EBDI → bit-plane → cell encoding →
     /// rotation), store chip-major, and notify the refresh engine.
     ///
+    /// The line is encoded in place in the controller's own scratch,
+    /// which is cleared between lines but never freed, so once warm the
+    /// whole write path is allocation-free.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::BadLength`] for a wrong-sized buffer or
     /// [`Error::AddressOutOfRange`] for an address beyond the capacity.
     pub fn write_line(&mut self, addr: LineAddr, data: &[u8]) -> Result<()> {
-        let mut arena = std::mem::take(&mut self.arena);
-        let out = self.write_line_with(addr, data, &mut arena);
-        self.arena = arena;
-        out
-    }
-
-    /// [`Self::write_line`] against the caller's sweep arena: the line is
-    /// staged in `arena.line` and encoded in place with `arena.deltas` as
-    /// bitplane scratch, so a warm arena makes the whole write path
-    /// allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::write_line`].
-    pub fn write_line_with(
-        &mut self,
-        addr: LineAddr,
-        data: &[u8],
-        arena: &mut SweepArena,
-    ) -> Result<()> {
         let _span = self.telemetry.span("memctrl.write");
         let loc = self.geom.locate(addr)?;
-        arena.line.clear();
-        arena.line.extend_from_slice(data);
+        self.line.clear();
+        self.line.extend_from_slice(data);
         self.transformer
-            .encode_in_place_with(&mut arena.line, loc.row, &mut arena.deltas)?;
+            .encode_in_place_with(&mut self.line, loc.row, &mut self.deltas)?;
         self.rank
-            .write_encoded_line(loc.bank, loc.row, loc.slot, &arena.line)?;
+            .write_encoded_line(loc.bank, loc.row, loc.slot, &self.line)?;
         self.engine.note_write(&self.rank, loc.bank, loc.row);
         self.stats.writes += 1;
         self.metrics.writes.inc();
@@ -192,32 +150,21 @@ impl MemoryController {
 
     /// Reads one cacheline, applying the inverse transformation.
     ///
+    /// The stored line is decoded in place in the controller's scratch;
+    /// only the returned copy allocates.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::AddressOutOfRange`] for an address beyond the
     /// capacity.
     pub fn read_line(&mut self, addr: LineAddr) -> Result<Vec<u8>> {
-        let mut arena = std::mem::take(&mut self.arena);
-        let out = self.read_line_with(addr, &mut arena);
-        self.arena = arena;
-        out
-    }
-
-    /// [`Self::read_line`] against the caller's sweep arena: the stored
-    /// line is read into `arena.line` and decoded in place; only the
-    /// returned copy allocates.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::read_line`].
-    pub fn read_line_with(&mut self, addr: LineAddr, arena: &mut SweepArena) -> Result<Vec<u8>> {
         let _span = self.telemetry.span("memctrl.read");
         let loc = self.geom.locate(addr)?;
         self.rank
-            .read_encoded_line_into(loc.bank, loc.row, loc.slot, &mut arena.line)?;
+            .read_encoded_line_into(loc.bank, loc.row, loc.slot, &mut self.line)?;
         self.transformer
-            .decode_in_place_with(&mut arena.line, loc.row, &mut arena.deltas)?;
-        let line = arena.line.clone();
+            .decode_in_place_with(&mut self.line, loc.row, &mut self.deltas)?;
+        let line = self.line.clone();
         self.stats.reads += 1;
         self.metrics.reads.inc();
         if self.trace.is_active() {

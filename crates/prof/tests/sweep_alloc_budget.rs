@@ -1,9 +1,9 @@
 //! Hard allocation budget for the steady-state sweep loop.
 //!
-//! After one warm-up window has grown the [`SweepArena`] and the rank's
-//! row stores to their steady-state footprint, a full window of writes
-//! plus the refresh sweep must not allocate at all: the arena is
-//! reset-not-freed between windows, row stores are reused in place, and
+//! After one warm-up window has grown the controller's scratch and the
+//! rank's row stores to their steady-state footprint, a full window of
+//! writes plus the refresh sweep must not allocate at all: the scratch
+//! is reset-not-freed between lines, row stores are reused in place, and
 //! the refresh engine loops over packed bitmap words. This pins the
 //! `<0.1 allocs per chip-row` contract of the packed-bitplane refactor
 //! at its strictest point (exactly zero in steady state), mirroring
@@ -17,7 +17,7 @@
 
 #![cfg(feature = "count-alloc")]
 
-use zr_dram::{RefreshPolicy, SweepArena};
+use zr_dram::RefreshPolicy;
 use zr_memctrl::MemoryController;
 use zr_prof::alloc::{AllocScope, AllocStats};
 use zr_types::geometry::LineAddr;
@@ -41,14 +41,12 @@ fn line_for(i: u64) -> [u8; 64] {
 fn steady_state_window_is_allocation_free() {
     let cfg = SystemConfig::small_test();
     let mut ctrl = MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-    let mut arena = SweepArena::new();
     let lines = 256u64;
 
-    // Warm-up window: grows the arena scratch, inserts the row stores,
+    // Warm-up window: grows the controller scratch, inserts the row stores,
     // and runs one refresh sweep (scan-path one-time state).
     for i in 0..lines {
-        ctrl.write_line_with(LineAddr(i), &line_for(i), &mut arena)
-            .unwrap();
+        ctrl.write_line(LineAddr(i), &line_for(i)).unwrap();
     }
     ctrl.run_refresh_window();
     ctrl.run_refresh_window();
@@ -57,14 +55,13 @@ fn steady_state_window_is_allocation_free() {
     // then swept. Budget: zero allocations for the whole window.
     let scope = AllocScope::begin();
     for i in 0..lines {
-        ctrl.write_line_with(LineAddr(i), &line_for(i + 1), &mut arena)
-            .unwrap();
+        ctrl.write_line(LineAddr(i), &line_for(i + 1)).unwrap();
     }
     ctrl.run_refresh_window();
     assert_eq!(
         scope.delta(),
         AllocStats::default(),
-        "steady-state sweep window allocated after arena warm-up"
+        "steady-state sweep window allocated after scratch warm-up"
     );
 }
 
@@ -72,23 +69,21 @@ fn steady_state_window_is_allocation_free() {
 fn warm_reads_allocate_only_the_returned_copy() {
     let cfg = SystemConfig::small_test();
     let mut ctrl = MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-    let mut arena = SweepArena::new();
     let lines = 256u64;
     for i in 0..lines {
-        ctrl.write_line_with(LineAddr(i), &line_for(i), &mut arena)
-            .unwrap();
+        ctrl.write_line(LineAddr(i), &line_for(i)).unwrap();
     }
-    // Warm-up reads grow the arena's line and decode scratch to their
-    // read-path footprint.
+    // Warm-up reads grow the controller's line and decode scratch to
+    // their read-path footprint.
     for i in 0..lines {
-        ctrl.read_line_with(LineAddr(i), &mut arena).unwrap();
+        ctrl.read_line(LineAddr(i)).unwrap();
     }
 
     // Steady state: each read allocates its returned copy and nothing
-    // else — decode runs entirely in the arena.
+    // else — decode runs entirely in the controller's scratch.
     let scope = AllocScope::begin();
     for i in 0..lines {
-        let line = ctrl.read_line_with(LineAddr(i), &mut arena).unwrap();
+        let line = ctrl.read_line(LineAddr(i)).unwrap();
         assert!(line == line_for(i), "read {i} returned other data");
     }
     assert_eq!(
@@ -108,12 +103,10 @@ fn cold_writes_do_allocate_so_the_probe_is_live() {
     // budget regression above would be caught.
     let cfg = SystemConfig::small_test();
     let mut ctrl = MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-    let mut arena = SweepArena::new();
 
     let scope = AllocScope::begin();
     for i in 0..64u64 {
-        ctrl.write_line_with(LineAddr(i), &line_for(i), &mut arena)
-            .unwrap();
+        ctrl.write_line(LineAddr(i), &line_for(i)).unwrap();
     }
     assert_ne!(
         scope.delta(),

@@ -16,15 +16,20 @@ use zr_prof::alloc::{AllocScope, AllocStats};
 use zr_types::SystemConfig;
 use zr_xray::XrayRecorder;
 
+/// A charge-aware engine built with `xray` as its current recorder.
+fn engine_on(xray: &Arc<XrayRecorder>, cfg: &SystemConfig) -> RefreshEngine {
+    let _xray = XrayRecorder::push_current(Arc::clone(xray));
+    RefreshEngine::new(cfg, RefreshPolicy::ChargeAware).unwrap()
+}
+
 #[test]
 fn refresh_hot_loop_with_xray_off_is_allocation_free() {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     // Bind an explicitly disabled recorder — the same object shape the
     // hooks see when `ZR_XRAY` is unset.
     let xray = Arc::new(XrayRecorder::disabled());
-    eng.set_xray(Arc::clone(&xray));
+    let mut eng = engine_on(&xray, &cfg);
     assert!(!xray.is_active());
 
     // Warm up: the first windows pay one-time costs (scan-path state,
@@ -51,9 +56,8 @@ fn active_recorder_hooks_do_allocate_so_the_probe_is_live() {
     // the counting allocator would catch a regression above.
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     let xray = Arc::new(XrayRecorder::memory_with_cap(16));
-    eng.set_xray(Arc::clone(&xray));
+    let mut eng = engine_on(&xray, &cfg);
 
     let scope = AllocScope::begin();
     eng.run_window(&mut rank);

@@ -1,10 +1,10 @@
 //! The figure kernels: compute a [`SweepRequest`]'s result bytes.
 //!
-//! These are the same experiment drivers the batch figure builders call
-//! (`zr_sim::experiments::{refresh, energy}`), swept on the same
-//! [`zr_sim::experiments::parallel`] pool in the same cell order — but
-//! rendered to a dependency-free JSON document instead of stdout
-//! tables, because a service's stdout belongs to its protocol.
+//! These are the same Fig. 14/15/16 sweeps the batch figure builders
+//! call (`zr_sim::experiments::{refresh, energy}`), so the cells run on
+//! the same pool in the same order — but they are rendered to a
+//! dependency-free JSON document instead of stdout tables, because a
+//! service's stdout belongs to its protocol.
 //!
 //! # Determinism contract
 //!
@@ -14,7 +14,7 @@
 //! processes (the document contains no wall times, paths or env). This
 //! is the property the zr-conform `serve_determinism` gate pins.
 
-use zr_sim::experiments::{energy, parallel, refresh};
+use zr_sim::experiments::{energy, refresh};
 use zr_types::json::{Json, ToJson};
 use zr_types::Result;
 
@@ -32,67 +32,20 @@ pub const RESULT_SCHEMA: u64 = 1;
 /// Propagates request validation and experiment errors.
 pub fn simulate(request: &SweepRequest) -> Result<Vec<u8>> {
     request.validate()?;
-    let exp = &request.config;
-    let threads = exp.effective_threads();
-    let benches = &request.benches;
-    let rows: Vec<(String, Vec<f64>)> = match request.figure {
-        Figure::Fig14Refresh => {
-            let allocs = request.scenario.allocs();
-            let flat = parallel::sweep_with(threads, benches.len() * allocs.len(), |i| {
-                Ok(
-                    refresh::measure(benches[i / allocs.len()], allocs[i % allocs.len()], exp)?
-                        .normalized,
-                )
-            })?;
-            collect_rows(request, &flat, allocs.len())
-        }
-        Figure::Fig15Energy => {
-            let allocs = request.scenario.allocs();
-            let flat = parallel::sweep_with(threads, benches.len() * allocs.len(), |i| {
-                Ok(
-                    energy::measure(benches[i / allocs.len()], allocs[i % allocs.len()], exp)?
-                        .normalized_energy,
-                )
-            })?;
-            collect_rows(request, &flat, allocs.len())
-        }
-        Figure::Fig16Temperature => {
-            let pairs = parallel::sweep_with(threads, benches.len(), |i| {
-                refresh::temperature_compare(benches[i], exp)
-            })?;
-            benches
-                .iter()
-                .zip(&pairs)
-                .map(|(b, (ext, norm))| {
-                    (b.name().to_string(), vec![ext.normalized, norm.normalized])
-                })
-                .collect()
-        }
+    let (benches, exp) = (&request.benches, &request.config);
+    let table = match request.figure {
+        Figure::Fig14Refresh => refresh::allocation_sweep(benches, request.scenario.allocs(), exp)?,
+        Figure::Fig15Energy => energy::allocation_sweep(benches, request.scenario.allocs(), exp)?,
+        Figure::Fig16Temperature => refresh::temperature_sweep(benches, exp)?,
     };
-    Ok(render(request, &rows).to_pretty().into_bytes())
-}
-
-/// Groups a bench-major flat sweep back into per-benchmark rows of
-/// `width` cells — the same cell order the batch figure builders print.
-fn collect_rows(request: &SweepRequest, flat: &[f64], width: usize) -> Vec<(String, Vec<f64>)> {
-    request
-        .benches
-        .iter()
-        .enumerate()
-        .map(|(bi, b)| {
-            (
-                b.name().to_string(),
-                flat[bi * width..(bi + 1) * width].to_vec(),
-            )
-        })
-        .collect()
+    Ok(render(request, &table).to_pretty().into_bytes())
 }
 
 /// Renders the result document. Self-describing: it carries the figure
 /// name, scenario, column meaning, the request's content-address and
 /// its full canonical string, so a cached artifact can be understood —
 /// and re-keyed — without the request that produced it.
-fn render(request: &SweepRequest, rows: &[(String, Vec<f64>)]) -> Json {
+fn render(request: &SweepRequest, table: &[Vec<f64>]) -> Json {
     let columns: Vec<Json> = match request.figure {
         Figure::Fig16Temperature => {
             vec![Json::Str("32ms".to_string()), Json::Str("64ms".to_string())]
@@ -121,10 +74,13 @@ fn render(request: &SweepRequest, rows: &[(String, Vec<f64>)]) -> Json {
         (
             "rows".to_string(),
             Json::Obj(
-                rows.iter()
-                    .map(|(name, cells)| {
+                request
+                    .benches
+                    .iter()
+                    .zip(table)
+                    .map(|(b, cells)| {
                         (
-                            name.clone(),
+                            b.name().to_string(),
                             Json::Arr(cells.iter().map(|&v| Json::Num(v)).collect()),
                         )
                     })

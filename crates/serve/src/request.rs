@@ -10,7 +10,7 @@
 //! `crates/lens/tests/config_hash_props.rs`) carries over to cache keys
 //! unchanged.
 
-use zr_sim::experiments::ExperimentConfig;
+use zr_sim::experiments::{refresh, ExperimentConfig};
 use zr_types::{Error, Result, TemperatureMode};
 use zr_workloads::Benchmark;
 
@@ -105,7 +105,7 @@ impl Scenario {
     /// The allocation fractions this scenario sweeps, in column order.
     pub fn allocs(self) -> &'static [f64] {
         match self {
-            Scenario::Paper => &[1.0, 0.88, 0.70, 0.28],
+            Scenario::Paper => &refresh::PAPER_ALLOCS,
             Scenario::Full => &[1.0],
             Scenario::Alibaba => &[0.88],
             Scenario::Google => &[0.70],

@@ -471,7 +471,7 @@ fn write_run(
         }],
         volatile: zr_lens::Volatile {
             wall_ns,
-            peak_rss_bytes: zr_lens::peak_rss_bytes(),
+            peak_rss_bytes: zr_prof::clock::peak_rss_bytes(),
             calibration_wall_ns: 0,
             artifacts: BTreeMap::new(),
         },

@@ -30,21 +30,19 @@ impl ToJson for ScenarioResult {
 }
 
 /// Evaluates the suite mean under one trace's mean allocation — the
-/// headline 46% / 57% / 83% reductions of the abstract.
+/// headline 46% / 57% / 83% reductions of the abstract — as one Fig. 14
+/// column ([`refresh::allocation_sweep`]) at that allocation.
 ///
 /// # Errors
 ///
 /// Returns configuration/address errors from the underlying layers.
 pub fn scenario(trace: &DatacenterTrace, exp: &ExperimentConfig) -> Result<ScenarioResult> {
     let alloc = trace.mean_utilization();
-    let mut sum = 0.0;
-    for &b in Benchmark::all() {
-        sum += refresh::measure(b, alloc, exp)?.normalized;
-    }
+    let table = refresh::allocation_sweep(Benchmark::all(), &[alloc], exp)?;
     Ok(ScenarioResult {
         trace: trace.name(),
         mean_allocated: alloc,
-        mean_normalized: sum / Benchmark::all().len() as f64,
+        mean_normalized: super::column_means(&table)[0],
     })
 }
 

@@ -3,16 +3,11 @@
 //! leakage).
 
 use zero_refresh::EnergyAccountant;
-use zr_dram::{RefreshPolicy, SweepArena, WindowStats};
-use zr_types::geometry::LineAddr;
+use zr_dram::RefreshPolicy;
 use zr_types::Result;
-use zr_workloads::image::LINES_PER_REGION;
-use zr_workloads::trace::TraceGenerator;
-use zr_workloads::trace::TraceWrite;
 use zr_workloads::Benchmark;
 
-use super::population::build_system;
-use super::ExperimentConfig;
+use super::{refresh, ExperimentConfig};
 
 /// Measured energy behaviour of one benchmark/scenario pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,9 +25,10 @@ pub struct EnergyMeasurement {
 }
 
 /// Measures the normalized refresh energy for one benchmark at one
-/// allocation fraction. Only the steady-state measurement windows are
-/// priced (population and the scan window are excluded on both sides of
-/// the comparison).
+/// allocation fraction: prices the refresh activity of the Fig. 14 cell
+/// ([`refresh::measure_cell`] under the charge-aware policy). Only the
+/// steady-state measurement windows are priced (population and the scan
+/// window are excluded on both sides of the comparison).
 ///
 /// # Errors
 ///
@@ -42,49 +38,24 @@ pub fn measure(
     alloc_fraction: f64,
     exp: &ExperimentConfig,
 ) -> Result<EnergyMeasurement> {
-    let mut ps = build_system(benchmark, alloc_fraction, RefreshPolicy::ChargeAware, exp)?;
-    let profile = benchmark.profile();
-    let mut trace = TraceGenerator::new(
-        profile.clone(),
-        ps.region_classes.clone(),
-        LINES_PER_REGION,
-        benchmark.derive_seed(exp.seed) ^ 0xACCE55,
-    );
-    let mut arena = SweepArena::new();
-    let mut writes: Vec<TraceWrite> = Vec::new();
-    ps.system.run_refresh_window(); // unmeasured scan
-
-    let totals0 = ps.system.controller().engine().totals();
-    let ebdi0 = ps.system.access_stats().ebdi_operations();
-    let mut stats = WindowStats::default();
-    let mut trace_writes = 0u64;
-    for _ in 0..exp.windows {
-        trace.window_writes_into(exp.window_scale(), &mut writes);
-        for w in &writes {
-            let line = LineAddr(w.page * LINES_PER_REGION as u64 + w.line_in_page as u64);
-            ps.system.write_line_with(line, &w.data, &mut arena)?;
-            trace_writes += 1;
-        }
-        stats.accumulate(&ps.system.run_refresh_window());
-    }
-    let totals1 = ps.system.controller().engine().totals();
-    let ebdi_writes = ps.system.access_stats().ebdi_operations() - ebdi0;
-    debug_assert_eq!(ebdi_writes, trace_writes);
+    let policy = RefreshPolicy::ChargeAware;
+    let (refresh, ebdi_writes) =
+        refresh::measure_cell(benchmark, alloc_fraction, policy, exp, |_| {})?;
     // The trace generates writes; the EBDI module also runs on every read.
     // Estimate reads from the workload's write fraction.
+    let profile = benchmark.profile();
     let read_ops = if profile.write_fraction > 0.0 {
         (ebdi_writes as f64 * (1.0 - profile.write_fraction) / profile.write_fraction) as u64
     } else {
         0
     };
 
-    let cfg = exp.system_config();
-    let accountant = EnergyAccountant::new(&cfg)?;
+    let accountant = EnergyAccountant::new(&exp.system_config())?;
     let sram_bytes = zr_energy::accounting::ACCESS_TABLE_FULLSCALE_BYTES;
     let breakdown = accountant.breakdown(
-        totals1.rows_refreshed - totals0.rows_refreshed,
-        totals1.table_reads - totals0.table_reads,
-        totals1.table_writes - totals0.table_writes,
+        refresh.stats.rows_refreshed,
+        refresh.stats.table_reads,
+        refresh.stats.table_writes,
         ebdi_writes + read_ops,
         sram_bytes,
         exp.windows,
@@ -93,22 +64,24 @@ pub fn measure(
         benchmark: benchmark.name(),
         alloc_fraction,
         normalized_energy: accountant.normalized(&breakdown, exp.windows),
-        normalized_refreshes: stats.normalized_refreshes(),
+        normalized_refreshes: refresh.normalized,
     })
 }
 
-/// The Fig. 15 sweep: every benchmark × the four allocation scenarios,
-/// measured on the [`super::parallel`] sweep pool at
-/// [`ExperimentConfig::effective_threads`] with deterministic ordering.
+/// The Fig. 15 sweep: normalized refresh energy of each of `benches` at
+/// each of `allocs`, one row per benchmark — the same cells, pool and
+/// bench-major job order as [`refresh::allocation_sweep`].
 ///
 /// # Errors
 ///
-/// Returns configuration/address errors from the underlying layers.
-pub fn allocation_sweep(exp: &ExperimentConfig) -> Result<Vec<EnergyMeasurement>> {
-    const ALLOCS: [f64; 4] = [1.0, 0.88, 0.70, 0.28];
-    let benches = Benchmark::all();
-    super::parallel::sweep_with(exp.effective_threads(), ALLOCS.len() * benches.len(), |i| {
-        measure(benches[i % benches.len()], ALLOCS[i / benches.len()], exp)
+/// Returns the error of the first failing cell.
+pub fn allocation_sweep(
+    benches: &[Benchmark],
+    allocs: &[f64],
+    exp: &ExperimentConfig,
+) -> Result<Vec<Vec<f64>>> {
+    refresh::allocation_grid(benches, allocs, exp, |b, a| {
+        Ok(measure(b, a, exp)?.normalized_energy)
     })
 }
 

@@ -1,4 +1,13 @@
 //! Experiment drivers, one module per evaluation axis.
+//!
+//! Every refresh and energy cell runs the same populate → scan window →
+//! measured windows loop, [`refresh::measure_cell`]; [`energy::measure`]
+//! prices that loop's refresh activity instead of running its own. The
+//! Fig. 14, 15 and 16 sweeps live here as well
+//! ([`refresh::allocation_sweep`], [`energy::allocation_sweep`],
+//! [`refresh::temperature_sweep`]): one [`parallel`] pool job per cell,
+//! bench-major, returning one row per benchmark. The figure builders of
+//! `zr-bench`, the data-center scenarios and `zr-serve` all call them.
 
 pub mod datacenter;
 pub mod energy;
@@ -10,6 +19,21 @@ pub mod priorwork;
 pub mod refresh;
 pub mod scalability;
 pub mod zeros;
+
+/// The mean of each column of a bench-major figure table (one row per
+/// benchmark), summed in row order.
+pub fn column_means(table: &[Vec<f64>]) -> Vec<f64> {
+    let mut means = vec![0.0; table.first().map_or(0, Vec::len)];
+    for row in table {
+        for (m, c) in means.iter_mut().zip(row) {
+            *m += c;
+        }
+    }
+    for m in &mut means {
+        *m /= table.len() as f64;
+    }
+    means
+}
 
 /// Shared knobs for the experiment drivers.
 ///

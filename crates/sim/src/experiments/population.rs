@@ -1,7 +1,7 @@
 //! Populating a memory system with a benchmark image.
 
 use zero_refresh::ZeroRefreshSystem;
-use zr_dram::{RefreshPolicy, SweepArena};
+use zr_dram::RefreshPolicy;
 use zr_types::geometry::LineAddr;
 use zr_types::rng::SplitMix64;
 use zr_types::Result;
@@ -71,7 +71,6 @@ pub fn build_system_with(
     let profile = benchmark.profile();
     let classes = region_classes(&profile, allocated, benchmark.derive_seed(exp.seed));
     let mut rng = SplitMix64::new(benchmark.derive_seed(exp.seed) ^ 0xC0FFEE);
-    let mut arena = SweepArena::new();
     for (r, &class) in classes.iter().enumerate() {
         if matches!(class, LineClass::Zero) {
             continue; // cleansed rank already holds the zero image
@@ -79,7 +78,7 @@ pub fn build_system_with(
         let base = r as u64 * LINES_PER_REGION as u64;
         for i in 0..LINES_PER_REGION {
             let line = class.generate_line(&mut rng);
-            system.write_line_with(LineAddr(base + i as u64), &line, &mut arena)?;
+            system.write_line(LineAddr(base + i as u64), &line)?;
         }
     }
     Ok(PopulatedSystem {

@@ -9,15 +9,14 @@
 //! | Validity oracle (SRA/ESKIMO/PARIS) | unallocated rows | OS↔DRAM interface |
 //! | Smart Refresh | rows touched this window | per-row counters |
 
-use zr_baselines::{SmartRefresh, ZibModel};
+use zr_baselines::ZibModel;
 use zr_dram::RefreshPolicy;
 use zr_types::json::{Json, ToJson};
 use zr_types::{Result, TransformConfig};
-use zr_workloads::trace::TraceGenerator;
 use zr_workloads::Benchmark;
 
 use super::population::build_system;
-use super::{refresh, ExperimentConfig};
+use super::{refresh, scalability, ExperimentConfig};
 
 /// One benchmark's normalized refresh operations under each scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,19 +83,7 @@ pub fn compare(
     let validity_oracle = alloc_fraction;
 
     // Smart Refresh at reference capacity: the touched working set skips.
-    let mut cfg = exp.system_config();
-    cfg.dram.capacity_bytes = 32 << 30;
-    let mut smart = SmartRefresh::new(&cfg)?;
-    let geom = smart.geometry().clone();
-    let mut trace = TraceGenerator::new(benchmark.profile(), Vec::new(), 64, exp.seed);
-    let rank_rows = geom.rows_per_bank() * geom.num_banks() as u64;
-    for page in trace.window_touched_pages(rank_rows, geom.row_bytes() as u64) {
-        smart.note_access(
-            zr_types::geometry::BankId((page % geom.num_banks() as u64) as usize),
-            zr_types::geometry::RowIndex(page / geom.num_banks() as u64),
-        );
-    }
-    let smart_refresh = smart.run_window().normalized_refreshes();
+    let smart_refresh = scalability::smart_refresh_normalized(benchmark, 32 << 30, exp)?;
 
     Ok(PriorWorkComparison {
         benchmark: benchmark.name(),

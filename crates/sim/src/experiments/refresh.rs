@@ -1,16 +1,21 @@
 //! Refresh-reduction experiments: Fig. 14 (allocation scenarios),
-//! Fig. 16 (temperature) and Fig. 18 (row size).
+//! Fig. 16 (temperature) and Fig. 18 (row size), and the one measured
+//! cell loop behind them and Fig. 15 ([`measure_cell`]).
 
-use zr_dram::{RefreshPolicy, SweepArena, WindowStats};
+use zr_dram::{RefreshPolicy, WindowStats};
 use zr_types::geometry::LineAddr;
-use zr_types::{Result, TemperatureMode};
+use zr_types::{Result, SystemConfig, TemperatureMode};
 use zr_workloads::image::LINES_PER_REGION;
 use zr_workloads::trace::TraceGenerator;
 use zr_workloads::trace::TraceWrite;
 use zr_workloads::Benchmark;
 
-use super::population::build_system;
+use super::population::build_system_with;
 use super::ExperimentConfig;
+
+/// The allocation scenarios of Figs. 14 and 15, in column order: 100%,
+/// 88% (Alibaba), 70% (Google) and 28% (Bitbrains) allocated.
+pub const PAPER_ALLOCS: [f64; 4] = [1.0, 0.88, 0.70, 0.28];
 
 /// The measured refresh behaviour of one benchmark/scenario pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,12 +58,34 @@ pub fn measure_with_policy(
     policy: RefreshPolicy,
     exp: &ExperimentConfig,
 ) -> Result<RefreshMeasurement> {
+    Ok(measure_cell(benchmark, alloc_fraction, policy, exp, |_| {})?.0)
+}
+
+/// The one populate → scan window → measured windows loop behind every
+/// refresh and energy cell: builds the system (with `tweak` applied to
+/// its configuration, for knobs [`ExperimentConfig`] does not expose,
+/// e.g. the EBDI word size), runs one unmeasured scan window, then
+/// `exp.windows` windows of the benchmark's write traffic.
+///
+/// Returns the measurement and the number of lines written during the
+/// measured windows (the EBDI write operations Fig. 15 prices).
+///
+/// # Errors
+///
+/// Returns configuration/address errors from the underlying layers.
+pub fn measure_cell(
+    benchmark: Benchmark,
+    alloc_fraction: f64,
+    policy: RefreshPolicy,
+    exp: &ExperimentConfig,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> Result<(RefreshMeasurement, u64)> {
     let telemetry = zr_telemetry::Telemetry::current();
     // Everything recorded inside this run — refresh-window summaries,
     // skip decisions, transform events — is tagged with the workload.
     let _scope = telemetry.scope(benchmark.name());
     let populate_span = telemetry.span("sim.populate");
-    let mut ps = build_system(benchmark, alloc_fraction, policy, exp)?;
+    let mut ps = build_system_with(benchmark, alloc_fraction, policy, exp, tweak)?;
     drop(populate_span);
     let profile = benchmark.profile();
     let mut trace = TraceGenerator::new(
@@ -69,17 +96,18 @@ pub fn measure_with_policy(
     );
     // Scan window: populates the discharged-status table (unmeasured, as
     // the paper measures steady state).
-    let mut arena = SweepArena::new();
     let mut writes: Vec<TraceWrite> = Vec::new();
     ps.system.run_refresh_window();
     let mut stats = WindowStats::default();
+    let mut written = 0u64;
     for _ in 0..exp.windows {
         let _window_span = telemetry.span("sim.window");
         trace.window_writes_into(exp.window_scale(), &mut writes);
         for w in &writes {
             let line = LineAddr(w.page * LINES_PER_REGION as u64 + w.line_in_page as u64);
-            ps.system.write_line_with(line, &w.data, &mut arena)?;
+            ps.system.write_line(line, &w.data)?;
         }
+        written += writes.len() as u64;
         stats.accumulate(&ps.system.run_refresh_window());
     }
     telemetry.emit(|| zr_telemetry::Event::ExperimentSummary {
@@ -88,29 +116,69 @@ pub fn measure_with_policy(
         normalized: stats.normalized_refreshes(),
         windows: exp.windows,
     });
-    Ok(RefreshMeasurement {
+    let measurement = RefreshMeasurement {
         benchmark: benchmark.name(),
         alloc_fraction,
         normalized: stats.normalized_refreshes(),
         stats,
-    })
+    };
+    Ok((measurement, written))
 }
 
-/// The Fig. 14 sweep: every benchmark × the four allocation scenarios
-/// (100%, 88% Alibaba, 70% Google, 28% Bitbrains).
-///
-/// Cells are measured on the [`super::parallel`] sweep pool at
-/// [`ExperimentConfig::effective_threads`]; the returned order (and
-/// every byte of downstream reporting) is identical for any width.
+/// The Fig. 14 sweep: normalized refreshes of each of `benches` at each
+/// of `allocs`, one row per benchmark.
 ///
 /// # Errors
 ///
-/// Returns configuration/address errors from the underlying layers.
-pub fn allocation_sweep(exp: &ExperimentConfig) -> Result<Vec<RefreshMeasurement>> {
-    const ALLOCS: [f64; 4] = [1.0, 0.88, 0.70, 0.28];
-    let benches = Benchmark::all();
-    super::parallel::sweep_with(exp.effective_threads(), ALLOCS.len() * benches.len(), |i| {
-        measure(benches[i % benches.len()], ALLOCS[i / benches.len()], exp)
+/// Returns the error of the first failing cell.
+pub fn allocation_sweep(
+    benches: &[Benchmark],
+    allocs: &[f64],
+    exp: &ExperimentConfig,
+) -> Result<Vec<Vec<f64>>> {
+    allocation_grid(benches, allocs, exp, |b, a| {
+        Ok(measure(b, a, exp)?.normalized)
+    })
+}
+
+/// The benchmark × allocation grid behind the Fig. 14 and Fig. 15
+/// sweeps: `cell` runs on the [`super::parallel`] sweep pool at
+/// [`ExperimentConfig::effective_threads`], one job per cell in
+/// bench-major order, and the grid comes back one row per benchmark —
+/// identical for any width, as is every byte of downstream reporting,
+/// trace and xray capture.
+pub(super) fn allocation_grid<F>(
+    benches: &[Benchmark],
+    allocs: &[f64],
+    exp: &ExperimentConfig,
+    cell: F,
+) -> Result<Vec<Vec<f64>>>
+where
+    F: Fn(Benchmark, f64) -> Result<f64> + Sync,
+{
+    let cols = allocs.len();
+    let jobs = benches.len() * cols;
+    let mut cells = super::parallel::sweep_with(exp.effective_threads(), jobs, |i| {
+        cell(benches[i / cols], allocs[i % cols])
+    })?
+    .into_iter();
+    Ok(benches
+        .iter()
+        .map(|_| cells.by_ref().take(cols).collect())
+        .collect())
+}
+
+/// The Fig. 16 sweep: each of `benches` at extended (32 ms) and normal
+/// (64 ms) temperature, 100% allocated — one row of the two normalized
+/// refresh counts per benchmark, one pool job per benchmark.
+///
+/// # Errors
+///
+/// Returns the error of the first failing benchmark.
+pub fn temperature_sweep(benches: &[Benchmark], exp: &ExperimentConfig) -> Result<Vec<Vec<f64>>> {
+    super::parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
+        let (extended, normal) = temperature_compare(benches[i], exp)?;
+        Ok(vec![extended.normalized, normal.normalized])
     })
 }
 
@@ -167,14 +235,6 @@ pub fn row_size_sweep(
             Ok((row_bytes, m))
         })
         .collect()
-}
-
-/// Mean normalized refreshes over a set of measurements.
-pub fn mean_normalized(measurements: &[RefreshMeasurement]) -> f64 {
-    if measurements.is_empty() {
-        return 1.0;
-    }
-    measurements.iter().map(|m| m.normalized).sum::<f64>() / measurements.len() as f64
 }
 
 #[cfg(test)]

@@ -22,9 +22,9 @@
 //!
 //! Components default to [`Telemetry::current`] — the thread's
 //! installed override if any (see [`Telemetry::push_current`]),
-//! falling back to [`Telemetry::global`] — and expose
-//! `set_telemetry(Arc<Telemetry>)` so tests can install a private
-//! instance and assert on it hermetically. The parallel sweep layer
+//! falling back to [`Telemetry::global`] — when they are built, so
+//! tests build components under a private instance and assert on it
+//! hermetically. The parallel sweep layer
 //! (`zr-par` / `zr_sim::experiments::parallel`) uses the same two
 //! hooks: each pool worker runs its job under a forked per-job
 //! instance ([`Telemetry::fork_job`]) and the parent absorbs the jobs

@@ -136,19 +136,6 @@ impl MemoryTimingSim {
         })
     }
 
-    /// Routes this simulator's metrics and events to `telemetry` instead
-    /// of the process-wide instance.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = TimingMetrics::new(&telemetry);
-        self.telemetry = telemetry;
-    }
-
-    /// Routes this simulator's flight-recorder records to `trace`
-    /// instead of the process-wide recorder (hermetic tests).
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.trace = trace;
-    }
-
     /// The derived timing constants in use.
     pub fn timing(&self) -> &DerivedTiming {
         &self.timing

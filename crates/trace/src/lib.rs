@@ -18,7 +18,8 @@
 //! automatically. Set `ZR_TRACE_RING=<frames>` to keep only the last N
 //! sealed frames in memory (a crash-triage flight recorder that bounds
 //! disk use). For hermetic tests, construct a [`TraceRecorder`] and
-//! hand it to components via their `set_trace` methods.
+//! build components under [`TraceRecorder::push_current`]: each binds
+//! the current recorder at construction.
 //!
 //! # Replay
 //!

@@ -2,10 +2,11 @@
 //!
 //! [`TraceRecorder`] mirrors `zr-telemetry`'s activation pattern: a
 //! process-wide [`TraceRecorder::global`] instance initialized from the
-//! `ZR_TRACE` environment variable, plus `set_trace(Arc<TraceRecorder>)`
-//! setters on every instrumented component so tests can install a private
-//! recorder hermetically. When inactive, [`TraceRecorder::record`] is a
-//! single relaxed atomic load.
+//! `ZR_TRACE` environment variable, plus [`TraceRecorder::push_current`]
+//! overrides: every instrumented component binds the current recorder
+//! when it is built, so tests build components under a private recorder
+//! hermetically. When inactive, [`TraceRecorder::record`] is a single
+//! relaxed atomic load.
 //!
 //! Three targets are supported:
 //!

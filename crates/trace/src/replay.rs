@@ -148,9 +148,9 @@ pub fn replay(records: &[TraceRecord]) -> ReplayReport {
             RecordKind::Meta => {
                 if let Some(meta) = EngineMeta::from_record(rec) {
                     if meta.policy == POLICY_CHARGE_AWARE {
-                        // Re-registration (set_trace) resets the shadow:
-                        // the real engine keeps its tables, so only insert
-                        // a model for engines we have not seen.
+                        // A repeated meta record for a known engine id
+                        // keeps its shadow: only insert a model for
+                        // engines we have not seen.
                         engines
                             .entry(meta.engine)
                             .or_insert_with(|| EngineModel::new(meta));

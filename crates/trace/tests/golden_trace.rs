@@ -19,9 +19,11 @@ use zr_types::SystemConfig;
 fn run_workload() -> (Vec<u8>, u8) {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
-    let mut engine = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     let trace = Arc::new(TraceRecorder::memory());
-    engine.set_trace(Arc::clone(&trace));
+    let mut engine = {
+        let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+        RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap()
+    };
 
     // One charged line so the scan sees a non-uniform population.
     rank.write_encoded_line(BankId(1), RowIndex(3), 0, &[0x5A; 64])

@@ -15,9 +15,11 @@ use zr_types::SystemConfig;
 /// full controller stack and returns the parsed records.
 fn record_workload() -> Vec<TraceRecord> {
     let cfg = SystemConfig::small_test();
-    let mut mc = MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     let trace = Arc::new(TraceRecorder::memory());
-    mc.set_trace(Arc::clone(&trace));
+    let mut mc = {
+        let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+        MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap()
+    };
 
     let total = mc.geometry().total_lines();
     let mut s = 0x5EEDu64;

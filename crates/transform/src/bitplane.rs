@@ -73,8 +73,8 @@ pub fn transpose_in_place(line: &mut [u8], config: &CachelineConfig) -> Result<(
 
 /// [`transpose_in_place`] with caller-provided scratch (cleared and
 /// refilled with the transposed lane blocks; capacity reused across
-/// calls) — the allocation-free form the sweep arena feeds. Output bytes
-/// are identical to the scratch-less form.
+/// calls) — the allocation-free form the memory controller's scratch
+/// feeds. Output bytes are identical to the scratch-less form.
 ///
 /// # Errors
 ///
@@ -104,7 +104,7 @@ pub fn untranspose_in_place(line: &mut [u8], config: &CachelineConfig) -> Result
 }
 
 /// [`untranspose_in_place`] with caller-provided scratch — the
-/// allocation-free form the sweep arena feeds.
+/// allocation-free form the memory controller's scratch feeds.
 ///
 /// # Errors
 ///

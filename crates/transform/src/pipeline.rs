@@ -94,25 +94,6 @@ impl ValueTransformer {
         })
     }
 
-    /// Routes this transformer's metrics and events to `telemetry`
-    /// instead of the process-wide instance.
-    pub fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
-        self.metrics = TransformMetrics::new(&telemetry);
-        self.telemetry = telemetry;
-    }
-
-    /// Routes this transformer's flight-recorder records to `trace`
-    /// instead of the process-wide recorder.
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
-        self.trace = trace;
-    }
-
-    /// Routes this transformer's charge-domain stage attribution to
-    /// `xray` instead of the process-wide recorder.
-    pub fn set_xray(&mut self, xray: Arc<XrayRecorder>) {
-        self.xray = xray;
-    }
-
     /// Flags describing which stages ran for a line bound to `row`.
     fn stage_flags(&self, inverted: bool) -> u16 {
         let mut flags = 0;
@@ -157,7 +138,7 @@ impl ValueTransformer {
     }
 
     /// [`Self::encode_in_place`] with caller-provided bitplane scratch
-    /// (typically `SweepArena::deltas` from zr-dram) so a warm sweep
+    /// (the memory controller passes its own) so a warm write path
     /// encodes without allocating. Output bytes are identical.
     ///
     /// # Errors
@@ -417,8 +398,10 @@ mod tests {
     #[test]
     fn xray_attribution_telescopes_per_stage() {
         let recorder = Arc::new(XrayRecorder::memory());
-        let mut tf = tf();
-        tf.set_xray(Arc::clone(&recorder));
+        let tf = {
+            let _xray = XrayRecorder::push_current(Arc::clone(&recorder));
+            tf()
+        };
         let mut expect_before = 0u64;
         let mut expect_after = 0u64;
         for seed in 0..8u64 {

@@ -16,7 +16,8 @@
 //!   cannot mix units by accident,
 //! - [`Error`] — the common error type,
 //! - [`json`] — the workspace's one JSON codec,
-//! - [`rng`] — the workspace's one PRNG and seeded test-case runner.
+//! - [`rng`] — the workspace's one PRNG and seeded test-case runner,
+//! - [`fnv64`] — the workspace's one FNV-1a 64 hash.
 //!
 //! # Examples
 //!
@@ -51,3 +52,23 @@ pub use geometry::Geometry;
 
 /// Result alias using the crate's [`Error`] type.
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// FNV-1a 64-bit hash of `bytes`: dependency-free and stable across
+/// platforms. Run manifests checksum artifacts with it, and the seeded
+/// case runner derives its per-test seeds from it.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv64_known_vectors() {
+        // Standard FNV-1a 64 test vectors.
+        assert_eq!(super::fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(super::fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

@@ -98,7 +98,7 @@ fn run(
     fixed: Option<u64>,
     mut body: impl FnMut(&mut SplitMix64),
 ) -> Result<(), Failure> {
-    let mut seeds = SplitMix64::new(fnv1a(name));
+    let mut seeds = SplitMix64::new(crate::fnv64(name.as_bytes()));
     let cases: Vec<u64> = match fixed {
         Some(seed) => vec![seed],
         None => (0..n).map(|_| seeds.next_u64()).collect(),
@@ -115,12 +115,6 @@ fn parse_seed(text: &str) -> Option<u64> {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => text.parse().ok(),
     }
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
 }
 
 #[cfg(test)]

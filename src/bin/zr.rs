@@ -10,7 +10,7 @@
 //! ```
 
 use zero_refresh_suite::prelude::*;
-use zr_sim::experiments::{energy, priorwork, refresh};
+use zr_sim::experiments::{energy, priorwork};
 use zr_transform::ValueTransformer;
 use zr_types::geometry::RowIndex;
 use zr_types::TemperatureMode;
@@ -225,7 +225,6 @@ fn measure(args: &[String]) -> Result<(), Error> {
         temperature,
         ..experiment(None)
     };
-    let m = refresh::measure(benchmark, alloc, &exp)?;
     let e = energy::measure(benchmark, alloc, &exp)?;
     println!(
         "{} @ {:.0}% alloc, {} B rows, {:?}:",
@@ -236,8 +235,8 @@ fn measure(args: &[String]) -> Result<(), Error> {
     );
     println!(
         "  refresh ops:  {:.3} normalized ({:.1}% reduction)",
-        m.normalized,
-        100.0 * (1.0 - m.normalized)
+        e.normalized_refreshes,
+        100.0 * (1.0 - e.normalized_refreshes)
     );
     println!(
         "  energy:       {:.3} normalized ({:.1}% saved, overheads included)",
