@@ -382,17 +382,26 @@ pub fn ablations(exp: &ExperimentConfig) -> Result<Vec<(String, f64)>> {
         ),
     ];
     report::columns("variant", &["norm", "reduct"]);
+    let benches = Benchmark::all();
+    // One pool job per (variant, benchmark) cell, variant-major.
+    let cells = parallel::sweep_with(
+        exp.effective_threads(),
+        variants.len() * benches.len(),
+        |i| {
+            let (_, transform, policy) = variants[i / benches.len()];
+            let e = ExperimentConfig {
+                transform,
+                ..exp.clone()
+            };
+            Ok(
+                refresh::measure_with_policy(benches[i % benches.len()], 1.0, policy, &e)?
+                    .normalized,
+            )
+        },
+    )?;
     let mut out = Vec::new();
-    for (name, transform, policy) in variants {
-        let e = ExperimentConfig {
-            transform,
-            ..exp.clone()
-        };
-        let mut sum = 0.0;
-        for &b in Benchmark::all() {
-            sum += refresh::measure_with_policy(b, 1.0, policy, &e)?.normalized;
-        }
-        let norm = sum / Benchmark::all().len() as f64;
+    for ((name, _, _), row) in variants.iter().zip(cells.chunks(benches.len())) {
+        let norm = row.iter().sum::<f64>() / benches.len() as f64;
         report::row(name, &[norm, 1.0 - norm]);
         out.push((name.to_string(), norm));
     }
@@ -450,16 +459,19 @@ pub fn word_size_ablation(exp: &ExperimentConfig) -> Result<Vec<(usize, f64)>> {
         Benchmark::Omnetpp,
         Benchmark::TpchQ6,
     ];
+    let words = [2usize, 4, 8];
+    // One pool job per (word size, benchmark) cell, word-major.
+    let cells = parallel::sweep_with(exp.effective_threads(), words.len() * sample.len(), |i| {
+        let word_bytes = words[i / sample.len()];
+        let b = sample[i % sample.len()];
+        let (m, _) = refresh::measure_cell(b, 1.0, RefreshPolicy::ChargeAware, exp, |cfg| {
+            cfg.line.word_bytes = word_bytes
+        })?;
+        Ok(m.normalized)
+    })?;
     let mut out = Vec::new();
-    for word_bytes in [2usize, 4, 8] {
-        let mut sum = 0.0;
-        for &b in &sample {
-            let (m, _) = refresh::measure_cell(b, 1.0, RefreshPolicy::ChargeAware, exp, |cfg| {
-                cfg.line.word_bytes = word_bytes
-            })?;
-            sum += m.normalized;
-        }
-        let norm = sum / sample.len() as f64;
+    for (&word_bytes, row) in words.iter().zip(cells.chunks(sample.len())) {
+        let norm = row.iter().sum::<f64>() / sample.len() as f64;
         report::row(&format!("{word_bytes}B"), &[norm, 1.0 - norm]);
         out.push((word_bytes, norm));
     }
@@ -484,16 +496,16 @@ pub fn prior_work(exp: &ExperimentConfig) -> Result<Vec<priorwork::PriorWorkComp
         Benchmark::SpC,
     ];
     report::columns("bench@alloc", &["zero", "zib", "oracle", "smart"]);
-    let mut out = Vec::new();
-    for &alloc in &[1.0, 0.70] {
-        for &b in &sample {
-            let c = priorwork::compare(b, alloc, exp)?;
-            report::row(
-                &format!("{}@{:.0}%", c.benchmark, 100.0 * alloc),
-                &[c.zero_refresh, c.zib, c.validity_oracle, c.smart_refresh],
-            );
-            out.push(c);
-        }
+    let allocs = [1.0, 0.70];
+    // One pool job per (allocation, benchmark) cell, allocation-major.
+    let out = parallel::sweep_with(exp.effective_threads(), allocs.len() * sample.len(), |i| {
+        priorwork::compare(sample[i % sample.len()], allocs[i / sample.len()], exp)
+    })?;
+    for c in &out {
+        report::row(
+            &format!("{}@{:.0}%", c.benchmark, 100.0 * c.alloc_fraction),
+            &[c.zero_refresh, c.zib, c.validity_oracle, c.smart_refresh],
+        );
     }
     println!("notes:");
     println!("  zib    — zero-indicator bits on the raw image; pays 12.5% of DRAM");

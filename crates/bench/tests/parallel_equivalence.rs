@@ -9,9 +9,12 @@
 //! `crates/sim/src/experiments/parallel.rs`; `ZR_THREADS` must never
 //! change a reported number.
 
+use std::sync::Arc;
+
 use zr_bench::figures;
 use zr_bench::report::report_json;
 use zr_sim::experiments::ExperimentConfig;
+use zr_telemetry::Telemetry;
 use zr_workloads::Benchmark;
 
 /// Fast representative slice: a friendly scientific workload, a hostile
@@ -36,6 +39,25 @@ fn fig14_report_is_byte_identical_across_thread_counts() {
         report_json(&serial),
         report_json(&pooled),
         "fig14 JSON report must be byte-identical"
+    );
+}
+
+#[test]
+fn fig14_counters_are_identical_across_thread_counts() {
+    // Pooled jobs fold their registries into the parent; every counter a
+    // serial run registers must come back, zero-valued ones included.
+    let counters = |threads: usize| {
+        let telemetry = Arc::new(Telemetry::new());
+        let _guard = Telemetry::push_current(Arc::clone(&telemetry));
+        figures::fig14_refresh_reduction_for(&SUBSET, &exp_at(threads)).unwrap();
+        telemetry.snapshot().counters
+    };
+    let serial = counters(1);
+    assert_eq!(serial.get("memctrl.reads"), Some(&0), "{serial:?}");
+    assert_eq!(
+        serial,
+        counters(4),
+        "fig14 counters diverged under the pool"
     );
 }
 

@@ -62,6 +62,29 @@ impl ZeroRefreshSystem {
         })
     }
 
+    /// A copy of this system for a separate measurement: the stored
+    /// image is shared copy-on-write, and the copy's refresh engine takes
+    /// a fresh trace engine id and announces itself to the trace and xray
+    /// recorders as a newly built one does ([`MemoryController::fork`]).
+    /// A plain clone keeps the engine's id.
+    ///
+    /// Valid only before the first refresh window: trace replay models
+    /// every engine from power-up, with every access bit set, and writes
+    /// leave the bits that way, so only an unrefreshed system's copy
+    /// matches that model (checked in debug builds).
+    pub fn fork(&self) -> ZeroRefreshSystem {
+        debug_assert_eq!(
+            self.windows, 0,
+            "a system can only be forked before its first refresh window"
+        );
+        ZeroRefreshSystem {
+            config: self.config.clone(),
+            controller: self.controller.fork(),
+            accountant: self.accountant.clone(),
+            windows: self.windows,
+        }
+    }
+
     /// Starts a [`ZeroRefreshSystemBuilder`] from the paper's defaults.
     pub fn builder() -> ZeroRefreshSystemBuilder {
         ZeroRefreshSystemBuilder::default()

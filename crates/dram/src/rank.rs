@@ -31,6 +31,8 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::iter;
+use std::sync::Arc;
 
 use zr_types::geometry::{BankId, ChipId, RowIndex};
 use zr_types::{CellType, DramConfig, Error, Geometry, Result, SystemConfig};
@@ -74,7 +76,11 @@ struct RowStore {
     /// Folding the counts into the image buffer keeps a resident row at
     /// exactly one allocation. Zero-crossings of the counts are what flip
     /// the bank's packed charged bits.
-    bytes: Box<[u8]>,
+    ///
+    /// The buffer is shared copy-on-write: cloning a rank copies row
+    /// pointers, and a writer goes through [`Arc::make_mut`], which
+    /// copies a row only while another rank still shares it.
+    bytes: Arc<[u8]>,
     /// Bit `c` set: chip `c` holds explicit (written) storage. Kept so
     /// [`DramRank::resident_chip_rows`] preserves the semantics of the
     /// old per-chip sparse maps (a forced charge touches one chip, a line
@@ -83,11 +89,12 @@ struct RowStore {
 }
 
 impl RowStore {
-    fn fresh(pattern: u8, row_bytes: usize, num_chips: usize) -> Self {
-        let mut bytes = vec![pattern; row_bytes + num_chips * 4];
-        bytes[row_bytes..].fill(0);
+    /// A row store holding `blank`, the never-written image of its cell
+    /// type. It shares the rank's copy until its first write, which
+    /// copies it into the row's own buffer: one allocation and a memcpy.
+    fn fresh(blank: &Arc<[u8]>) -> Self {
         RowStore {
-            bytes: bytes.into_boxed_slice(),
+            bytes: Arc::clone(blank),
             written: 0,
         }
     }
@@ -146,6 +153,9 @@ pub struct DramRank {
     /// Packed-bitmap stride: words per chip region in each bank's
     /// `charged` vector (and the length of its `spared` bitmap).
     words_per_chip: usize,
+    /// The store of a never-written row of each cell type (true, anti):
+    /// the discharged pattern and zero charged-byte counts.
+    blank: [Arc<[u8]>; 2],
     /// Differential-oracle toggle: route all discharge queries through
     /// the retained byte-scan path.
     #[cfg(any(test, feature = "scalar-oracle"))]
@@ -169,11 +179,17 @@ impl DramRank {
                 spared: vec![0u64; words_per_chip],
             })
             .collect();
+        let blank = [CellType::True, CellType::Anti].map(|cell| {
+            let image = iter::repeat_n(cell.discharged_byte(), geom.row_bytes());
+            let counts = iter::repeat_n(0u8, geom.num_chips() * 4);
+            image.chain(counts).collect()
+        });
         Ok(DramRank {
             geom,
             dram: config.dram.clone(),
             banks,
             words_per_chip,
+            blank,
             #[cfg(any(test, feature = "scalar-oracle"))]
             force_scalar: false,
         })
@@ -277,15 +293,15 @@ impl DramRank {
         let line_bytes = self.geom.line_bytes();
         let row_bytes = self.geom.row_bytes();
         let num_chips = self.geom.num_chips();
-        let pattern = self.cell_type(row).discharged_byte();
+        let cell = self.cell_type(row);
+        let pattern = cell.discharged_byte();
         let (word_off, mask) = ((row.0 / 64) as usize, 1u64 << (row.0 % 64));
         let words_per_chip = self.words_per_chip;
+        let blank = &self.blank[usize::from(cell == CellType::Anti)];
         let BankStore { rows, charged, .. } = &mut self.banks[bank.0];
-        let store = rows
-            .entry(row.0)
-            .or_insert_with(|| RowStore::fresh(pattern, row_bytes, num_chips));
+        let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
         store.written |= u128::MAX >> (128 - num_chips);
-        let (image, tail) = store.bytes.split_at_mut(row_bytes);
+        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
         let dst_line = &mut image[slot * line_bytes..(slot + 1) * line_bytes];
         let pairs = dst_line
             .chunks_exact_mut(seg)
@@ -449,18 +465,17 @@ impl DramRank {
         row: RowIndex,
     ) -> Result<()> {
         self.check_location(bank, row, 0)?;
-        let pattern = self.cell_type(row).discharged_byte();
+        let cell = self.cell_type(row);
+        let pattern = cell.discharged_byte();
         let seg = self.geom.line_bytes_per_chip();
         let line_bytes = self.geom.line_bytes();
         let row_bytes = self.geom.row_bytes();
-        let num_chips = self.geom.num_chips();
         let (word, mask) = self.charged_locus(chip.0, row.0);
+        let blank = &self.blank[usize::from(cell == CellType::Anti)];
         let BankStore { rows, charged, .. } = &mut self.banks[bank.0];
-        let store = rows
-            .entry(row.0)
-            .or_insert_with(|| RowStore::fresh(pattern, row_bytes, num_chips));
+        let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
         store.written |= 1u128 << chip.0;
-        let (image, tail) = store.bytes.split_at_mut(row_bytes);
+        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
         for line in image.chunks_exact_mut(line_bytes) {
             line[chip.0 * seg..(chip.0 + 1) * seg].fill(!pattern);
         }

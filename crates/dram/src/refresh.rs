@@ -430,6 +430,30 @@ impl RefreshEngine {
         self.engine_id
     }
 
+    /// A copy of this engine that records as a separate engine: it takes
+    /// a fresh trace engine id and announces itself to the trace and xray
+    /// recorders exactly as construction does, under the current scope
+    /// label. (A plain clone shares the id, and its records would merge
+    /// into this engine's stream.)
+    ///
+    /// Only an engine that has not run a refresh command may be forked.
+    /// Replay starts each engine's shadow model from power-up, with every
+    /// access bit set; writes only set bits, so before the first command
+    /// the copied table is exactly that power-up state. A later fork
+    /// would carry cleared bits the shadow model never saw.
+    pub fn fork(&self) -> RefreshEngine {
+        debug_assert_eq!(
+            self.totals,
+            WindowStats::default(),
+            "an engine can only be forked before its first refresh command"
+        );
+        let mut engine = self.clone();
+        engine.engine_id = engine.trace.next_engine_id();
+        engine.announce_trace();
+        engine.xray_engine = engine.announce_xray();
+        engine
+    }
+
     /// Registers this engine with its xray recorder and returns the
     /// per-recorder engine index. The label is the telemetry scope path
     /// at construction (e.g. `fig14_refresh_reduction/mcf`), which both
@@ -1190,6 +1214,43 @@ mod tests {
             .bank_discharged
             .iter()
             .all(|r| r.discharged_rows == full_bank));
+    }
+
+    #[test]
+    fn fork_takes_a_fresh_trace_id_and_xray_engine() {
+        let (cfg, mut rank) = system();
+        let trace = Arc::new(TraceRecorder::memory());
+        let xray = Arc::new(XrayRecorder::memory_with_cap(16));
+        let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+        let _xray = XrayRecorder::push_current(Arc::clone(&xray));
+        let telemetry = Telemetry::current();
+        let _scope = telemetry.scope("fork-test");
+        let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
+        // A clone keeps the id; a fork allocates the next one.
+        assert_eq!(eng.clone().trace_engine_id(), eng.trace_engine_id());
+        let mut fork = eng.fork();
+        assert_eq!(eng.trace_engine_id(), 0);
+        assert_eq!(fork.trace_engine_id(), 1);
+        assert_eq!((eng.xray_engine, fork.xray_engine), (0, 1));
+        fork.run_window(&mut rank);
+        eng.run_window(&mut rank);
+        let records = zr_trace::parse_trace(&trace.take_bytes()).unwrap();
+        let metas: Vec<u8> = records
+            .iter()
+            .filter(|r| r.kind == RecordKind::Meta)
+            .map(|r| r.src)
+            .collect();
+        assert_eq!(metas, [0, 1]);
+        // Each engine's window lands in its own xray series, both under
+        // the scope the fork was taken in.
+        let snap = xray.snapshot();
+        assert_eq!(snap.engines.len(), 2);
+        let per_window = rank.geometry().total_chip_row_refreshes_per_window();
+        for e in &snap.engines {
+            assert_eq!(e.label, "fork-test");
+            let (refreshed, skipped) = e.totals();
+            assert_eq!(refreshed + skipped, per_window);
+        }
     }
 
     #[test]

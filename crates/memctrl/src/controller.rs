@@ -85,6 +85,18 @@ impl MemoryController {
         })
     }
 
+    /// A copy of this controller whose refresh engine records as a
+    /// separate engine ([`RefreshEngine::fork`]). The rank's rows are
+    /// shared copy-on-write, so the copy costs row pointers, and each
+    /// side pays for a row only when it first writes it. Valid only
+    /// before the first refresh window.
+    pub fn fork(&self) -> MemoryController {
+        MemoryController {
+            engine: self.engine.fork(),
+            ..self.clone()
+        }
+    }
+
     /// The derived geometry.
     pub fn geometry(&self) -> &Geometry {
         &self.geom

@@ -114,3 +114,37 @@ fn cold_writes_do_allocate_so_the_probe_is_live() {
         "cold population recorded no allocations — the probe is not measuring the write path"
     );
 }
+
+#[test]
+fn a_row_store_costs_one_allocation_and_copies_once_when_shared() {
+    use zr_dram::DramRank;
+    use zr_types::geometry::{BankId, RowIndex};
+
+    let cfg = SystemConfig::small_test();
+    let mut rank = DramRank::new(&cfg).unwrap();
+    let line = [0xA5u8; 64];
+    // The first write also sizes the bank's row map.
+    rank.write_encoded_line(BankId(0), RowIndex(0), 0, &line)
+        .unwrap();
+
+    // A new resident row: its image and charged-byte counts in one buffer.
+    let scope = AllocScope::begin();
+    rank.write_encoded_line(BankId(0), RowIndex(1), 0, &line)
+        .unwrap();
+    assert_eq!(scope.delta().allocs, 1, "a new row store is one allocation");
+
+    // A clone shares the row; the first write after it copies the row
+    // once, and later writes find it private again.
+    let shared = rank.clone();
+    let scope = AllocScope::begin();
+    for slot in 1..4 {
+        rank.write_encoded_line(BankId(0), RowIndex(1), slot, &line)
+            .unwrap();
+    }
+    assert_eq!(scope.delta().allocs, 1, "a shared row is copied once");
+    assert_eq!(
+        shared.read_encoded_line(BankId(0), RowIndex(1), 1).unwrap(),
+        vec![0u8; 64],
+        "the write leaked into the clone"
+    );
+}

@@ -7,7 +7,8 @@ use zr_dram::RefreshPolicy;
 use zr_types::Result;
 use zr_workloads::Benchmark;
 
-use super::{refresh, ExperimentConfig};
+use super::refresh::{self, RefreshMeasurement};
+use super::ExperimentConfig;
 
 /// Measured energy behaviour of one benchmark/scenario pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,6 +42,17 @@ pub fn measure(
     let policy = RefreshPolicy::ChargeAware;
     let (refresh, ebdi_writes) =
         refresh::measure_cell(benchmark, alloc_fraction, policy, exp, |_| {})?;
+    price(benchmark, &refresh, ebdi_writes, exp)
+}
+
+/// Prices one measured charge-aware cell: its refresh statistics and the
+/// lines written in its measured windows.
+fn price(
+    benchmark: Benchmark,
+    refresh: &RefreshMeasurement,
+    ebdi_writes: u64,
+    exp: &ExperimentConfig,
+) -> Result<EnergyMeasurement> {
     // The trace generates writes; the EBDI module also runs on every read.
     // Estimate reads from the workload's write fraction.
     let profile = benchmark.profile();
@@ -62,27 +74,34 @@ pub fn measure(
     );
     Ok(EnergyMeasurement {
         benchmark: benchmark.name(),
-        alloc_fraction,
+        alloc_fraction: refresh.alloc_fraction,
         normalized_energy: accountant.normalized(&breakdown, exp.windows),
         normalized_refreshes: refresh.normalized,
     })
 }
 
 /// The Fig. 15 sweep: normalized refresh energy of each of `benches` at
-/// each of `allocs`, one row per benchmark — the same cells, pool and
-/// bench-major job order as [`refresh::allocation_sweep`].
+/// each of `allocs`, one row per benchmark — the cells of
+/// [`refresh::allocation_sweep`] (one pool job per benchmark, one
+/// populated image per job), priced.
 ///
 /// # Errors
 ///
-/// Returns the error of the first failing cell.
+/// Returns the error of the first failing benchmark.
 pub fn allocation_sweep(
     benches: &[Benchmark],
     allocs: &[f64],
     exp: &ExperimentConfig,
 ) -> Result<Vec<Vec<f64>>> {
-    refresh::allocation_grid(benches, allocs, exp, |b, a| {
-        Ok(measure(b, a, exp)?.normalized_energy)
-    })
+    refresh::allocation_grid(benches, allocs, exp)?
+        .iter()
+        .zip(benches)
+        .map(|(row, &b)| {
+            row.iter()
+                .map(|(refresh, writes)| Ok(price(b, refresh, *writes, exp)?.normalized_energy))
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 //! prices that loop's refresh activity instead of running its own. The
 //! Fig. 14, 15 and 16 sweeps live here as well
 //! ([`refresh::allocation_sweep`], [`energy::allocation_sweep`],
-//! [`refresh::temperature_sweep`]): one [`parallel`] pool job per cell,
-//! bench-major, returning one row per benchmark. The figure builders of
+//! [`refresh::temperature_sweep`]): one [`parallel`] pool job per
+//! benchmark, returning one row per benchmark. An allocation sweep's job
+//! populates the benchmark's image once ([`population::populate`]) and
+//! measures each allocation on a fork of it. The figure builders of
 //! `zr-bench`, the data-center scenarios and `zr-serve` all call them.
 
 pub mod datacenter;

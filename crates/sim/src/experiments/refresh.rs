@@ -1,6 +1,8 @@
 //! Refresh-reduction experiments: Fig. 14 (allocation scenarios),
 //! Fig. 16 (temperature) and Fig. 18 (row size), and the one measured
-//! cell loop behind them and Fig. 15 ([`measure_cell`]).
+//! cell loop behind them and Fig. 15 ([`measure_cell`]). An allocation
+//! sweep populates each benchmark's image once and measures every
+//! allocation on a fork of it.
 
 use zr_dram::{RefreshPolicy, WindowStats};
 use zr_types::geometry::LineAddr;
@@ -10,7 +12,7 @@ use zr_workloads::trace::TraceGenerator;
 use zr_workloads::trace::TraceWrite;
 use zr_workloads::Benchmark;
 
-use super::population::build_system_with;
+use super::population::{populate, PopulatedSystem};
 use super::ExperimentConfig;
 
 /// The allocation scenarios of Figs. 14 and 15, in column order: 100%,
@@ -61,14 +63,15 @@ pub fn measure_with_policy(
     Ok(measure_cell(benchmark, alloc_fraction, policy, exp, |_| {})?.0)
 }
 
-/// The one populate → scan window → measured windows loop behind every
-/// refresh and energy cell: builds the system (with `tweak` applied to
-/// its configuration, for knobs [`ExperimentConfig`] does not expose,
+/// One refresh or energy cell: populates the system (with `tweak` applied
+/// to its configuration, for knobs [`ExperimentConfig`] does not expose,
 /// e.g. the EBDI word size), runs one unmeasured scan window, then
 /// `exp.windows` windows of the benchmark's write traffic.
 ///
 /// Returns the measurement and the number of lines written during the
-/// measured windows (the EBDI write operations Fig. 15 prices).
+/// measured windows (the EBDI write operations Fig. 15 prices). A sweep
+/// cell of [`allocation_sweep`] measures the same thing on a fork of the
+/// benchmark's shared image, and equals this bit for bit.
 ///
 /// # Errors
 ///
@@ -80,13 +83,38 @@ pub fn measure_cell(
     exp: &ExperimentConfig,
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> Result<(RefreshMeasurement, u64)> {
+    let mut cells = measure_prefixes(benchmark, &[alloc_fraction], policy, exp, tweak)?;
+    Ok(cells.pop().expect("one cell per fraction"))
+}
+
+/// Measures `benchmark` at each of `allocs` from one populated image
+/// ([`populate`]): each cell runs on its fork as soon as population
+/// reaches its boundary. Returns the cells in `allocs` order.
+fn measure_prefixes(
+    benchmark: Benchmark,
+    allocs: &[f64],
+    policy: RefreshPolicy,
+    exp: &ExperimentConfig,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> Result<Vec<(RefreshMeasurement, u64)>> {
     let telemetry = zr_telemetry::Telemetry::current();
     // Everything recorded inside this run — refresh-window summaries,
     // skip decisions, transform events — is tagged with the workload.
     let _scope = telemetry.scope(benchmark.name());
-    let populate_span = telemetry.span("sim.populate");
-    let mut ps = build_system_with(benchmark, alloc_fraction, policy, exp, tweak)?;
-    drop(populate_span);
+    populate(benchmark, allocs, policy, exp, tweak, |alloc, mut ps| {
+        run_windows(benchmark, alloc, &mut ps, exp)
+    })
+}
+
+/// The scan window and the measured windows of one cell, on its
+/// populated image.
+fn run_windows(
+    benchmark: Benchmark,
+    alloc_fraction: f64,
+    ps: &mut PopulatedSystem,
+    exp: &ExperimentConfig,
+) -> Result<(RefreshMeasurement, u64)> {
+    let telemetry = zr_telemetry::Telemetry::current();
     let profile = benchmark.profile();
     let mut trace = TraceGenerator::new(
         profile,
@@ -130,42 +158,33 @@ pub fn measure_cell(
 ///
 /// # Errors
 ///
-/// Returns the error of the first failing cell.
+/// Returns the error of the first failing benchmark.
 pub fn allocation_sweep(
     benches: &[Benchmark],
     allocs: &[f64],
     exp: &ExperimentConfig,
 ) -> Result<Vec<Vec<f64>>> {
-    allocation_grid(benches, allocs, exp, |b, a| {
-        Ok(measure(b, a, exp)?.normalized)
-    })
+    Ok(allocation_grid(benches, allocs, exp)?
+        .iter()
+        .map(|row| row.iter().map(|(m, _)| m.normalized).collect())
+        .collect())
 }
 
-/// The benchmark × allocation grid behind the Fig. 14 and Fig. 15
-/// sweeps: `cell` runs on the [`super::parallel`] sweep pool at
-/// [`ExperimentConfig::effective_threads`], one job per cell in
-/// bench-major order, and the grid comes back one row per benchmark —
-/// identical for any width, as is every byte of downstream reporting,
-/// trace and xray capture.
-pub(super) fn allocation_grid<F>(
+/// The benchmark × allocation grid of charge-aware cells behind the
+/// Fig. 14 and Fig. 15 sweeps, one row per benchmark in `allocs` order.
+/// Each benchmark is one job on the [`super::parallel`] sweep pool at
+/// [`ExperimentConfig::effective_threads`], in bench-major order; a job
+/// populates its image once and measures every allocation on a fork of
+/// it ([`populate`]). The grid is identical for any width, as is every
+/// byte of downstream reporting, trace and xray capture.
+pub(super) fn allocation_grid(
     benches: &[Benchmark],
     allocs: &[f64],
     exp: &ExperimentConfig,
-    cell: F,
-) -> Result<Vec<Vec<f64>>>
-where
-    F: Fn(Benchmark, f64) -> Result<f64> + Sync,
-{
-    let cols = allocs.len();
-    let jobs = benches.len() * cols;
-    let mut cells = super::parallel::sweep_with(exp.effective_threads(), jobs, |i| {
-        cell(benches[i / cols], allocs[i % cols])
-    })?
-    .into_iter();
-    Ok(benches
-        .iter()
-        .map(|_| cells.by_ref().take(cols).collect())
-        .collect())
+) -> Result<Vec<Vec<(RefreshMeasurement, u64)>>> {
+    super::parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
+        measure_prefixes(benches[i], allocs, RefreshPolicy::ChargeAware, exp, |_| {})
+    })
 }
 
 /// The Fig. 16 sweep: each of `benches` at extended (32 ms) and normal
@@ -240,6 +259,98 @@ pub fn row_size_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::energy;
+
+    /// Small enough for debug-build sweeps, large enough that every
+    /// scenario allocates a few dozen regions.
+    fn small() -> ExperimentConfig {
+        ExperimentConfig {
+            capacity_bytes: 1 << 20,
+            windows: 2,
+            ..ExperimentConfig::default()
+        }
+    }
+
+    const SAMPLE: [Benchmark; 4] = [
+        Benchmark::GemsFdtd,
+        Benchmark::Mcf,
+        Benchmark::TpchQ6,
+        Benchmark::SpC,
+    ];
+
+    /// A table's values as bit patterns, so that equality is exact.
+    fn bits(table: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        let row = |r: &Vec<f64>| r.iter().map(|v| v.to_bits()).collect();
+        table.iter().map(row).collect()
+    }
+
+    #[test]
+    fn sweep_cells_equal_independent_cells_bit_for_bit() {
+        let exp = small();
+        let policy = RefreshPolicy::ChargeAware;
+        let cells: Vec<Vec<(RefreshMeasurement, u64)>> = SAMPLE
+            .iter()
+            .map(|&b| {
+                PAPER_ALLOCS
+                    .iter()
+                    .map(|&a| measure_cell(b, a, policy, &exp, |_| {}).unwrap())
+                    .collect()
+            })
+            .collect();
+        let normalized: Vec<Vec<f64>> = cells
+            .iter()
+            .map(|row| row.iter().map(|(m, _)| m.normalized).collect())
+            .collect();
+        let energies: Vec<Vec<f64>> = SAMPLE
+            .iter()
+            .map(|&b| {
+                PAPER_ALLOCS
+                    .iter()
+                    .map(|&a| energy::measure(b, a, &exp).unwrap().normalized_energy)
+                    .collect()
+            })
+            .collect();
+        for threads in [1, 4] {
+            let exp = ExperimentConfig {
+                threads: Some(threads),
+                ..small()
+            };
+            // Whole cells, `WindowStats` and measured-window writes included.
+            let grid = allocation_grid(&SAMPLE, &PAPER_ALLOCS, &exp).unwrap();
+            assert_eq!(grid, cells, "grid at {threads} threads");
+            let sweep = allocation_sweep(&SAMPLE, &PAPER_ALLOCS, &exp).unwrap();
+            assert_eq!(
+                bits(&sweep),
+                bits(&normalized),
+                "fig14 at {threads} threads"
+            );
+            let sweep = energy::allocation_sweep(&SAMPLE, &PAPER_ALLOCS, &exp).unwrap();
+            assert_eq!(bits(&sweep), bits(&energies), "fig15 at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_fork_ends_its_windows_hazard_free() {
+        let exp = small();
+        for b in SAMPLE {
+            let policy = RefreshPolicy::ChargeAware;
+            populate(
+                b,
+                &PAPER_ALLOCS,
+                policy,
+                &exp,
+                |_| {},
+                |alloc, mut ps| {
+                    run_windows(b, alloc, &mut ps, &exp)?;
+                    let controller = ps.system.controller();
+                    let hazards = controller.engine().audit_hazards(controller.rank());
+                    assert_eq!(hazards, 0, "{} at {alloc}", b.name());
+                    Ok(())
+                },
+            )
+            .unwrap();
+        }
+    }
 
     #[test]
     fn fully_idle_memory_skips_everything() {

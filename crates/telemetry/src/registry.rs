@@ -412,12 +412,12 @@ impl Registry {
     /// order jobs are absorbed in; gauges are last-write-wins, so
     /// callers wanting determinism absorb jobs in submission order
     /// (the sweep pool does). Metrics the job registered but this
-    /// registry has not seen yet are created.
+    /// registry has not seen yet are created, zero-valued counters
+    /// included, so a pooled sweep registers exactly the counters a
+    /// serial one does.
     pub fn absorb(&self, snap: &Snapshot) {
         for (name, &value) in &snap.counters {
-            if value > 0 {
-                self.counter(name).add(value);
-            }
+            self.counter(name).add(value);
         }
         for (name, &value) in &snap.gauges {
             self.gauge(name).set(value);
@@ -644,6 +644,7 @@ mod tests {
         let job = Registry::new();
         job.counter("reads").add(5);
         job.counter("writes").add(3); // new to the parent
+        job.counter("idle"); // registered, never incremented
         job.gauge("table_bytes").set(8192.0);
         let jh = job.histogram("lat", &[1.0, 2.0]);
         jh.observe(1.5);
@@ -653,6 +654,11 @@ mod tests {
         let snap = parent.snapshot();
         assert_eq!(snap.counter("reads"), 15);
         assert_eq!(snap.counter("writes"), 3);
+        assert_eq!(
+            snap.counters.get("idle"),
+            Some(&0),
+            "zero counters register"
+        );
         assert_eq!(snap.gauges.get("table_bytes"), Some(&8192.0));
         let lat = snap.histograms.get("lat").unwrap();
         assert_eq!(lat.count, 3);

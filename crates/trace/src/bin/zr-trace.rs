@@ -7,10 +7,12 @@
 //! zr-trace export --chrome <trace.zrt> [-o out.json]
 //! ```
 //!
-//! `replay` exits nonzero when the recorded skip decisions diverge from
-//! the shadow model, so it can gate CI. A reader that stops early
-//! (`zr-trace diff a.zrt b.zrt | head`) only cuts the report short: the
-//! exit status stays the one the command would have returned.
+//! `replay` exits 1 when the recorded skip decisions diverge from the
+//! shadow model and 3 when some decisions belong to engines the trace
+//! never announced (so they went unverified), so it can gate CI; errors
+//! exit 2. A reader that stops early (`zr-trace diff a.zrt b.zrt | head`)
+//! only cuts the report short: the exit status stays the one the command
+//! would have returned.
 
 use std::error::Error;
 use std::io::{self, Write};
@@ -24,6 +26,11 @@ use zr_trace::{
 
 /// What a subcommand returns: its exit status, or an error that exits 2.
 type CmdResult = Result<ExitCode, Box<dyn Error>>;
+
+/// `replay`'s exit status when the trace holds REF decisions of engines
+/// it never announced: those decisions were not verified, so the run
+/// neither passes (0) nor diverged (1).
+const EXIT_UNVERIFIED: u8 = 3;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,7 +110,8 @@ SUBCOMMANDS:
             --dump, print the matching records one per line.
   replay    Re-drive the charge-aware refresh decisions from the recorded
             access stream and verify them record-for-record. Exits 1 on
-            divergence.
+            divergence, 3 when decisions of unannounced engines went
+            unverified.
   diff      Align the command streams of two traces and report the first
             differing positions.
   export    Convert to Chrome trace-event JSON (--chrome) for
@@ -250,23 +258,7 @@ fn cmd_replay(args: &[String], out: &mut Stdout) -> CmdResult {
         "replayed {} charge-aware engine(s): {} decisions checked, {} writes applied",
         report.engines_replayed, report.decisions_checked, report.writes_applied
     )?;
-    if report.engines_replayed == 0
-        && records
-            .iter()
-            .any(|r| matches!(r.kind, RecordKind::RefIssue | RecordKind::RefSkip))
-    {
-        eprintln!(
-            "zr-trace: warning: trace has REF decisions but no charge-aware engine \
-             meta records (ring eviction?); nothing was verified"
-        );
-    }
-    if report.is_clean() {
-        writeln!(
-            out,
-            "replay clean: recorded decisions match the shadow model"
-        )?;
-        Ok(ExitCode::SUCCESS)
-    } else {
+    if !report.is_clean() {
         for d in &report.divergences {
             if out.closed {
                 break;
@@ -274,8 +266,22 @@ fn cmd_replay(args: &[String], out: &mut Stdout) -> CmdResult {
             writeln!(out, "DIVERGENCE {d}")?;
         }
         writeln!(out, "{} divergence(s)", report.divergences.len())?;
-        Ok(ExitCode::FAILURE)
+        return Ok(ExitCode::FAILURE);
     }
+    if report.decisions_unverified > 0 {
+        writeln!(
+            out,
+            "NOT VERIFIED: {} REF decision(s) belong to engines with no meta record \
+             (ring eviction or a lost announcement)",
+            report.decisions_unverified
+        )?;
+        return Ok(ExitCode::from(EXIT_UNVERIFIED));
+    }
+    writeln!(
+        out,
+        "replay clean: recorded decisions match the shadow model"
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_diff(args: &[String], out: &mut Stdout) -> CmdResult {

@@ -17,7 +17,7 @@
 //! decision logic changed between record and replay time — a determinism
 //! regression.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::record::{EngineMeta, RecordKind, TraceRecord, FLAG_TRUSTED, POLICY_CHARGE_AWARE};
 
@@ -57,6 +57,11 @@ pub struct ReplayReport {
     pub decisions_checked: u64,
     /// Write records fed into the shadow access-bit model.
     pub writes_applied: u64,
+    /// REF decision records of engines no meta record announced (lost to
+    /// ring eviction or never recorded), which replay cannot verify.
+    /// Decisions of announced engines under other policies are not
+    /// counted: they are unconditional.
+    pub decisions_unverified: u64,
     /// Mismatches, in record order (capped by the caller-visible
     /// [`replay`] at [`ReplayReport::MAX_DIVERGENCES`]).
     pub divergences: Vec<Divergence>,
@@ -141,12 +146,14 @@ impl EngineModel {
 /// decisions are unconditional).
 pub fn replay(records: &[TraceRecord]) -> ReplayReport {
     let mut engines: HashMap<u8, EngineModel> = HashMap::new();
+    let mut announced: HashSet<u8> = HashSet::new();
     let mut report = ReplayReport::default();
 
     for (index, rec) in records.iter().enumerate() {
         match rec.kind {
             RecordKind::Meta => {
                 if let Some(meta) = EngineMeta::from_record(rec) {
+                    announced.insert(meta.engine);
                     if meta.policy == POLICY_CHARGE_AWARE {
                         // A repeated meta record for a known engine id
                         // keeps its shadow: only insert a model for
@@ -165,6 +172,9 @@ pub fn replay(records: &[TraceRecord]) -> ReplayReport {
             }
             RecordKind::RefIssue | RecordKind::RefSkip => {
                 let Some(model) = engines.get_mut(&rec.src) else {
+                    if !announced.contains(&rec.src) {
+                        report.decisions_unverified += 1;
+                    }
                     continue;
                 };
                 report.decisions_checked += 1;
@@ -382,6 +392,24 @@ mod tests {
         assert_eq!(report.engines_replayed, 0);
         assert_eq!(report.decisions_checked, 0);
         assert!(report.is_clean());
+    }
+
+    #[test]
+    fn decisions_of_unannounced_engines_are_unverified() {
+        let mut conventional = meta(5);
+        conventional.flags = POLICY_CONVENTIONAL;
+        let records = vec![
+            conventional,
+            issue(5, 0, 0, 2, 0),
+            meta(0),
+            issue(0, 0, 0, 2, 2),
+            issue(7, 0, 0, 2, 2), // engine 7 was never announced
+            skip(7, 0, 0, 0, 2),
+        ];
+        let report = replay(&records);
+        assert!(report.is_clean());
+        assert_eq!(report.decisions_checked, 1);
+        assert_eq!(report.decisions_unverified, 2);
     }
 
     #[test]

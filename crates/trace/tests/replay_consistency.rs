@@ -104,3 +104,72 @@ fn replay_survives_reserialization() {
     assert_eq!(reparsed, records);
     assert!(replay(&reparsed).is_clean());
 }
+
+#[test]
+fn forked_controller_replays_as_its_own_engine() {
+    // A fork taken after population records as a second engine: its own
+    // meta record, then its own windows. Both replay from the power-up
+    // shadow state.
+    let cfg = SystemConfig::small_test();
+    let trace = Arc::new(TraceRecorder::memory());
+    let _trace = TraceRecorder::push_current(Arc::clone(&trace));
+    let mut base = MemoryController::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
+    for a in 0..64u64 {
+        base.write_line(LineAddr(a * 7), &[a as u8 + 1; 64])
+            .unwrap();
+    }
+    let mut fork = base.fork();
+    assert_ne!(
+        fork.engine().trace_engine_id(),
+        base.engine().trace_engine_id()
+    );
+    for mc in [&mut fork, &mut base] {
+        mc.run_refresh_window();
+        mc.write_line(LineAddr(3), &[9; 64]).unwrap();
+        mc.run_refresh_window();
+        mc.run_refresh_window();
+    }
+    let records = parse_trace(&trace.take_bytes()).unwrap();
+    let metas = records.iter().filter(|r| r.kind == RecordKind::Meta);
+    assert_eq!(metas.count(), 2);
+    let report = replay(&records);
+    assert!(report.is_clean(), "{:?}", report.divergences);
+    assert_eq!(report.engines_replayed, 2);
+    assert_eq!(report.decisions_unverified, 0);
+}
+
+/// Runs `zr-trace replay` on `records` written to a file named `name`.
+fn replay_cli(name: &str, records: &[TraceRecord]) -> std::process::Output {
+    let recorder = TraceRecorder::memory();
+    for &rec in records {
+        recorder.record(rec);
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, recorder.take_bytes()).unwrap();
+    std::process::Command::new(env!("CARGO_BIN_EXE_zr-trace"))
+        .arg("replay")
+        .arg(&path)
+        .output()
+        .unwrap()
+}
+
+#[test]
+fn replay_cli_fails_when_meta_records_are_stripped() {
+    let records = record_workload();
+    let full = replay_cli("replay-cli-full.zrt", &records);
+    let stdout = String::from_utf8_lossy(&full.stdout);
+    assert_eq!(full.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("replay clean"), "{stdout}");
+
+    // Without its meta record the engine's decisions cannot be checked:
+    // the run must neither pass nor claim a divergence.
+    let stripped: Vec<TraceRecord> = records
+        .into_iter()
+        .filter(|r| r.kind != RecordKind::Meta)
+        .collect();
+    let out = replay_cli("replay-cli-stripped.zrt", &stripped);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}");
+    assert!(!stdout.contains("clean"), "{stdout}");
+    assert!(stdout.contains("NOT VERIFIED"), "{stdout}");
+}
