@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use zr_bench::figures;
 use zr_bench::report::report_json;
-use zr_sim::experiments::ExperimentConfig;
+use zr_sim::experiments::{ipc_sim, ExperimentConfig};
 use zr_telemetry::Telemetry;
 use zr_workloads::Benchmark;
 
@@ -82,6 +82,31 @@ fn fig16_report_is_byte_identical_across_thread_counts() {
         report_json(&serial),
         report_json(&pooled),
         "fig16 JSON report must be byte-identical"
+    );
+}
+
+#[test]
+fn fig17_reports_are_byte_identical_across_thread_counts() {
+    // Fig. 17 runs every benchmark; the smallest capacity keeps it quick.
+    let exp = |threads| ExperimentConfig {
+        capacity_bytes: 1 << 20,
+        ..exp_at(threads)
+    };
+    let serial = figures::fig17_ipc(&exp(1)).unwrap();
+    let pooled = figures::fig17_ipc(&exp(4)).unwrap();
+    assert_eq!(serial, pooled, "fig17 data diverged under the pool");
+    assert_eq!(
+        report_json(&serial),
+        report_json(&pooled),
+        "fig17_ipc JSON report must be byte-identical"
+    );
+    let serial = ipc_sim::suite_sweep(&exp(1)).unwrap();
+    let pooled = ipc_sim::suite_sweep(&exp(4)).unwrap();
+    assert_eq!(serial, pooled, "fig17 event data diverged under the pool");
+    assert_eq!(
+        report_json(&serial),
+        report_json(&pooled),
+        "fig17_ipc_event JSON report must be byte-identical"
     );
 }
 

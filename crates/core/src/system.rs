@@ -85,6 +85,32 @@ impl ZeroRefreshSystem {
         }
     }
 
+    /// Sets the temperature mode this system is priced at: the mode in
+    /// [`Self::config`], and the [`EnergyAccountant`] rebuilt from that
+    /// configuration. Nothing else reads the temperature, so a system
+    /// populated at one temperature can be measured at another.
+    ///
+    /// Valid only before the first refresh window (checked in debug
+    /// builds, as [`Self::fork`] is): the accountant prices every
+    /// window at the current temperature, so a later retarget would
+    /// price the windows already run at the new one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`zr_types::Error::InvalidConfig`] if the retargeted
+    /// configuration does not validate.
+    pub fn retarget_temperature(&mut self, mode: TemperatureMode) -> Result<()> {
+        debug_assert_eq!(
+            self.windows, 0,
+            "a system can only be retargeted before its first refresh window"
+        );
+        let mut config = self.config.clone();
+        config.timing.temperature = mode;
+        self.accountant = EnergyAccountant::new(&config)?;
+        self.config = config;
+        Ok(())
+    }
+
     /// Starts a [`ZeroRefreshSystemBuilder`] from the paper's defaults.
     pub fn builder() -> ZeroRefreshSystemBuilder {
         ZeroRefreshSystemBuilder::default()
@@ -371,6 +397,44 @@ mod tests {
             .unwrap();
         assert_eq!(s.geometry().row_bytes(), 2048);
         assert_eq!(s.config().timing.temperature, TemperatureMode::Normal);
+    }
+
+    #[test]
+    fn retargeted_system_prices_like_one_built_at_that_temperature() {
+        let build = |mode: TemperatureMode| {
+            let mut cfg = SystemConfig::small_test();
+            cfg.timing.temperature = mode;
+            let mut s = ZeroRefreshSystem::new(&cfg).unwrap();
+            s.write_bytes(0, &[0x5Au8; 8192]).unwrap();
+            s.write_bytes(3 << 16, &(0..=255u8).collect::<Vec<_>>())
+                .unwrap();
+            s
+        };
+        let mut retargeted = build(TemperatureMode::Extended);
+        retargeted
+            .retarget_temperature(TemperatureMode::Normal)
+            .unwrap();
+        let mut built = build(TemperatureMode::Normal);
+        assert_eq!(retargeted.config(), built.config());
+        for _ in 0..3 {
+            assert_eq!(retargeted.run_refresh_window(), built.run_refresh_window());
+            retargeted.write_bytes(64, &[7u8; 128]).unwrap();
+            built.write_bytes(64, &[7u8; 128]).unwrap();
+        }
+        assert_eq!(retargeted.energy_breakdown(), built.energy_breakdown());
+        assert_eq!(
+            retargeted.conventional_energy(),
+            built.conventional_energy()
+        );
+        assert_eq!(retargeted.refresh_summary(), built.refresh_summary());
+        // And the retarget is not a no-op: a 32 ms window leaks half as
+        // much tracking-SRAM energy as a 64 ms one.
+        let mut extended = build(TemperatureMode::Extended);
+        for _ in 0..3 {
+            extended.run_refresh_window();
+            extended.write_bytes(64, &[7u8; 128]).unwrap();
+        }
+        assert_ne!(extended.energy_breakdown(), built.energy_breakdown());
     }
 
     #[test]

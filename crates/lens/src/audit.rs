@@ -18,13 +18,15 @@
 //!    equal the harness's counter-delta totals in the manifest.
 //! 3. **xray** — per-engine `rows_refreshed`/`rows_skipped` sums equal
 //!    the telemetry/manifest totals.
-//! 4. **trace** — deterministic replay reports zero divergences; the
-//!    refresh/skip totals derived from `RefIssue`/`RefSkip` records
-//!    equal the xray totals; and per retention-window bucket, trace
-//!    skips equal xray skips (trace windows are re-bucketed to the
-//!    coarsest xray stride, and both sides aggregate across engines —
-//!    engine ids are assigned from a global counter and are therefore
-//!    scheduling-dependent, window indices are not).
+//! 4. **trace** — deterministic replay reports zero divergences and
+//!    leaves no REF decision unverified (one of an engine no `meta`
+//!    record announced); the refresh/skip totals derived from
+//!    `RefIssue`/`RefSkip` records equal the xray totals; and per
+//!    retention-window bucket, trace skips equal xray skips (trace
+//!    windows are re-bucketed to the coarsest xray stride, and both
+//!    sides aggregate across engines — engine ids are assigned from a
+//!    global counter and are therefore scheduling-dependent, window
+//!    indices are not).
 //! 5. **profile** — per span name, the profiler's call count equals the
 //!    `span.<name>` histogram count in the telemetry snapshot, in both
 //!    directions.
@@ -326,6 +328,17 @@ fn check_trace(run: &LoadedRun, report: &mut AuditReport) {
             layer: "trace",
             key: "replay.divergences".to_string(),
             lhs: format!("{} (first: {first:?})", replay.divergences.len()),
+            rhs: "0".to_string(),
+        });
+        return;
+    }
+    // Decisions of engines no meta record announced were not checked at
+    // all; a trace that cannot be verified does not pass.
+    if replay.decisions_unverified > 0 {
+        report.mismatch = Some(Mismatch {
+            layer: "trace",
+            key: "replay.decisions_unverified".to_string(),
+            lhs: replay.decisions_unverified.to_string(),
             rhs: "0".to_string(),
         });
         return;

@@ -13,7 +13,9 @@ use std::process::Command;
 
 use zr_lens::manifest::fnv64;
 use zr_lens::{Artifact, Manifest, RunTotals, Volatile};
-use zr_trace::{RecordKind, TraceRecord, TraceRecorder};
+use zr_trace::{
+    EngineMeta, RecordKind, TraceRecord, TraceRecorder, FLAG_TRUSTED, POLICY_CHARGE_AWARE,
+};
 use zr_xray::{ArRow, EngineCapture, XraySnapshot};
 
 /// Run totals the fabricated layers all agree on.
@@ -81,28 +83,77 @@ fn xray_text(first_window_refreshed: u64) -> String {
     snapshot.to_json().to_pretty()
 }
 
-/// A trace whose totals and per-window buckets match the xray capture:
-/// window 0 refreshes 20 rows (the RefIssue `c` field is a discharge
-/// scan and must not count as skips), window 1 refreshes 10 and skips
-/// `skipped`. No charge-aware Meta record is written, so replay has no
-/// engine to shadow and stays clean by construction.
-fn trace_bytes(skipped: u64) -> Vec<u8> {
+/// The fabricated refresh engine: trace source id 3, charge-aware, one
+/// bank of 20 AR sets, one chip-row per command.
+const ENGINE: u8 = 3;
+
+/// The `meta` record announcing [`ENGINE`], without which replay cannot
+/// verify its decisions.
+fn announcement() -> TraceRecord {
+    EngineMeta {
+        engine: ENGINE,
+        policy: POLICY_CHARGE_AWARE,
+        allbank: false,
+        num_banks: 1,
+        num_chips: 1,
+        ar_rows: 1,
+        ar_sets_per_bank: 20,
+    }
+    .to_record()
+}
+
+fn window_start(window: u64) -> TraceRecord {
+    let mut start = TraceRecord::new(RecordKind::WindowStart, ENGINE);
+    start.a = window;
+    start
+}
+
+/// The engine's REF decisions in its two windows, as replay verifies
+/// them. Window 0 scans every set (power-up leaves every access bit
+/// set): 20 rows refreshed, and sets 0–9 found discharged, which the
+/// `RefIssue` `c` field carries — a scan result, not a skip count.
+/// Window 1 trusts every set: sets 0–9 skip their row and sets 10–19
+/// refresh theirs, 10 and 10. Only the first `skips_recorded` of the
+/// ten skips are kept, as if the rest were lost.
+fn decisions(skips_recorded: u64) -> (Vec<TraceRecord>, Vec<TraceRecord>) {
+    let decision = |kind, flags, set, refreshed, c| {
+        let mut rec = TraceRecord::new(kind, ENGINE);
+        rec.flags = flags;
+        rec.a = set;
+        rec.b = refreshed;
+        rec.c = c;
+        rec
+    };
+    let scans = (0..20)
+        .map(|set| decision(RecordKind::RefIssue, 0, set, 1, u64::from(set < 10)))
+        .collect();
+    let trusted = (0..20)
+        .filter(|&set| set >= 10 || set < skips_recorded)
+        .map(|set| {
+            let skipped = u64::from(set < 10);
+            decision(RecordKind::RefSkip, FLAG_TRUSTED, set, 1 - skipped, skipped)
+        })
+        .collect();
+    (scans, trusted)
+}
+
+fn trace_of(records: impl IntoIterator<Item = TraceRecord>) -> Vec<u8> {
     let recorder = TraceRecorder::memory();
-    let mut start = TraceRecord::new(RecordKind::WindowStart, 3);
-    start.a = 0;
-    recorder.record(start);
-    let mut issue = TraceRecord::new(RecordKind::RefIssue, 3);
-    issue.b = 20;
-    issue.c = 5;
-    recorder.record(issue);
-    let mut start = TraceRecord::new(RecordKind::WindowStart, 3);
-    start.a = 1;
-    recorder.record(start);
-    let mut skip = TraceRecord::new(RecordKind::RefSkip, 3);
-    skip.b = 10;
-    skip.c = skipped;
-    recorder.record(skip);
+    for rec in records {
+        recorder.record(rec);
+    }
     recorder.take_bytes()
+}
+
+/// A trace whose totals and per-window buckets match the xray capture
+/// when all ten skips are recorded.
+fn trace_bytes(skips_recorded: u64) -> Vec<u8> {
+    let (scans, trusted) = decisions(skips_recorded);
+    let mut records = vec![announcement(), window_start(0)];
+    records.extend(scans);
+    records.push(window_start(1));
+    records.extend(trusted);
+    trace_of(records)
 }
 
 fn profile_text(calls: u64) -> String {
@@ -248,6 +299,7 @@ fn xray_row_skew_names_the_xray_layer() {
 fn trace_skip_skew_names_the_trace_layer() {
     let dir = scratch("trace");
     let manifest = build_run(&dir);
+    // One lost skip record: replay still verifies every decision left.
     fs::write(dir.join("trace.zrt"), trace_bytes(9)).expect("doctor trace");
     reseal(&manifest, "trace");
     assert_names_layer(&manifest, "trace", "rows_skipped");
@@ -258,22 +310,36 @@ fn trace_skip_skew_names_the_trace_layer() {
 fn trace_window_shift_names_the_diverging_bucket() {
     let dir = scratch("trace-window");
     let manifest = build_run(&dir);
-    // Totals still agree; the skip moved from window 1 to window 0, so
-    // only the per-window reconciliation against xray can catch it.
-    let recorder = TraceRecorder::memory();
-    let mut start = TraceRecord::new(RecordKind::WindowStart, 3);
-    start.a = 0;
-    recorder.record(start);
-    let mut issue = TraceRecord::new(RecordKind::RefIssue, 3);
-    issue.b = 20;
-    recorder.record(issue);
-    let mut skip = TraceRecord::new(RecordKind::RefSkip, 3);
-    skip.b = 10;
-    skip.c = 10;
-    recorder.record(skip);
-    fs::write(dir.join("trace.zrt"), recorder.take_bytes()).expect("doctor trace");
+    // Totals still agree and replay is clean; window 1's decisions
+    // moved into window 0, so only the per-window reconciliation
+    // against xray can catch it.
+    let (scans, trusted) = decisions(10);
+    let records = [announcement(), window_start(0)]
+        .into_iter()
+        .chain(scans)
+        .chain(trusted);
+    fs::write(dir.join("trace.zrt"), trace_of(records)).expect("doctor trace");
     reseal(&manifest, "trace");
     assert_names_layer(&manifest, "trace", "window 0 rows_refreshed");
+    let _ = fs::remove_dir_all(dir);
+}
+
+#[test]
+fn unannounced_engine_names_its_unverified_decisions() {
+    let dir = scratch("trace-unannounced");
+    let manifest = build_run(&dir);
+    // Every total and window still agrees, but without the `meta`
+    // record replay checks none of the engine's 40 decisions.
+    let recorded = fs::read(dir.join("trace.zrt")).expect("read trace");
+    let stripped = zr_trace::parse_trace(&recorded)
+        .expect("parse trace")
+        .into_iter()
+        .filter(|rec| rec.kind != RecordKind::Meta);
+    fs::write(dir.join("trace.zrt"), trace_of(stripped)).expect("doctor trace");
+    reseal(&manifest, "trace");
+    assert_names_layer(&manifest, "trace", "replay.decisions_unverified");
+    let report = zr_lens::audit(&manifest).expect("audit loads");
+    assert_eq!(report.mismatch.expect("unverified").lhs, "40");
     let _ = fs::remove_dir_all(dir);
 }
 

@@ -105,13 +105,18 @@ pub fn measure(benchmark: Benchmark, exp: &ExperimentConfig) -> Result<IpcSimMea
     })
 }
 
-/// The full event-driven Fig. 17 sweep.
+/// The full event-driven Fig. 17 sweep: one [`super::parallel`] pool
+/// job per benchmark at [`ExperimentConfig::effective_threads`], in
+/// suite order.
 ///
 /// # Errors
 ///
-/// See [`measure`].
+/// See [`measure`]; the error of the first failing benchmark.
 pub fn suite_sweep(exp: &ExperimentConfig) -> Result<Vec<IpcSimMeasurement>> {
-    Benchmark::all().iter().map(|&b| measure(b, exp)).collect()
+    let benches = Benchmark::all();
+    super::parallel::sweep_with(exp.effective_threads(), benches.len(), |i| {
+        measure(benches[i], exp)
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! [`refresh::temperature_sweep`]): one [`parallel`] pool job per
 //! benchmark, returning one row per benchmark. An allocation sweep's job
 //! populates the benchmark's image once ([`population::populate`]) and
-//! measures each allocation on a fork of it. The figure builders of
+//! measures each allocation on a fork of it; a Fig. 16 job measures
+//! both temperatures on one image. The figure builders of
 //! `zr-bench`, the data-center scenarios and `zr-serve` all call them.
 
 pub mod datacenter;

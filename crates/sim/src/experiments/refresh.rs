@@ -2,7 +2,8 @@
 //! Fig. 16 (temperature) and Fig. 18 (row size), and the one measured
 //! cell loop behind them and Fig. 15 ([`measure_cell`]). An allocation
 //! sweep populates each benchmark's image once and measures every
-//! allocation on a fork of it.
+//! allocation on a fork of it; Fig. 16 measures both temperatures on
+//! one image the same way.
 
 use zr_dram::{RefreshPolicy, WindowStats};
 use zr_types::geometry::LineAddr;
@@ -202,7 +203,16 @@ pub fn temperature_sweep(benches: &[Benchmark], exp: &ExperimentConfig) -> Resul
 }
 
 /// The Fig. 16 comparison: normalized refreshes at extended (32 ms) vs
-/// normal (64 ms) temperature, 100% allocated.
+/// normal (64 ms) temperature, 100% allocated. Each equals [`measure`]
+/// at that temperature bit for bit.
+///
+/// Population does not read the temperature, so both cells share one
+/// populated image ([`populate`] at two equal fractions): the extended
+/// cell runs on its fork, then the normal cell on the system itself,
+/// retargeted ([`ZeroRefreshSystem::retarget_temperature`]) and driven
+/// at the normal window scale.
+///
+/// [`ZeroRefreshSystem::retarget_temperature`]: zero_refresh::ZeroRefreshSystem::retarget_temperature
 ///
 /// # Errors
 ///
@@ -211,22 +221,29 @@ pub fn temperature_compare(
     benchmark: Benchmark,
     exp: &ExperimentConfig,
 ) -> Result<(RefreshMeasurement, RefreshMeasurement)> {
-    let extended = measure(
-        benchmark,
-        1.0,
-        &ExperimentConfig {
-            temperature: TemperatureMode::Extended,
+    let cells =
+        [TemperatureMode::Extended, TemperatureMode::Normal].map(|temperature| ExperimentConfig {
+            temperature,
             ..exp.clone()
+        });
+    let telemetry = zr_telemetry::Telemetry::current();
+    let _scope = telemetry.scope(benchmark.name());
+    // Equal fractions are visited in input order: the fork first.
+    let mut next = cells.iter();
+    let mut measured = populate(
+        benchmark,
+        &[1.0, 1.0],
+        RefreshPolicy::ChargeAware,
+        &cells[0],
+        |_| {},
+        |alloc, mut ps| {
+            let cell = next.next().expect("one visit per cell");
+            ps.system.retarget_temperature(cell.temperature)?;
+            Ok(run_windows(benchmark, alloc, &mut ps, cell)?.0)
         },
     )?;
-    let normal = measure(
-        benchmark,
-        1.0,
-        &ExperimentConfig {
-            temperature: TemperatureMode::Normal,
-            ..exp.clone()
-        },
-    )?;
+    let normal = measured.pop().expect("normal cell");
+    let extended = measured.pop().expect("extended cell");
     Ok((extended, normal))
 }
 
@@ -345,6 +362,72 @@ mod tests {
                     let controller = ps.system.controller();
                     let hazards = controller.engine().audit_hazards(controller.rank());
                     assert_eq!(hazards, 0, "{} at {alloc}", b.name());
+                    Ok(())
+                },
+            )
+            .unwrap();
+        }
+    }
+
+    #[test]
+    fn temperature_cells_equal_independent_cells_bit_for_bit() {
+        let independent: Vec<(RefreshMeasurement, RefreshMeasurement)> = SAMPLE
+            .iter()
+            .map(|&b| {
+                let at = |temperature| {
+                    let exp = ExperimentConfig {
+                        temperature,
+                        ..small()
+                    };
+                    measure(b, 1.0, &exp).unwrap()
+                };
+                (at(TemperatureMode::Extended), at(TemperatureMode::Normal))
+            })
+            .collect();
+        let table: Vec<Vec<f64>> = independent
+            .iter()
+            .map(|(e, n)| vec![e.normalized, n.normalized])
+            .collect();
+        for threads in [1, 4] {
+            let exp = ExperimentConfig {
+                threads: Some(threads),
+                ..small()
+            };
+            // Whole cells, `WindowStats` included, one pool job each.
+            let pairs = super::super::parallel::sweep_with(threads, SAMPLE.len(), |i| {
+                temperature_compare(SAMPLE[i], &exp)
+            })
+            .unwrap();
+            assert_eq!(pairs, independent, "cells at {threads} threads");
+            let sweep = temperature_sweep(&SAMPLE, &exp).unwrap();
+            assert_eq!(bits(&sweep), bits(&table), "fig16 at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_temperature_cell_ends_its_windows_hazard_free() {
+        // The cells as `temperature_compare` measures them.
+        let cells = [TemperatureMode::Extended, TemperatureMode::Normal].map(|temperature| {
+            ExperimentConfig {
+                temperature,
+                ..small()
+            }
+        });
+        for b in SAMPLE {
+            let mut next = cells.iter();
+            populate(
+                b,
+                &[1.0, 1.0],
+                RefreshPolicy::ChargeAware,
+                &cells[0],
+                |_| {},
+                |alloc, mut ps| {
+                    let cell = next.next().unwrap();
+                    ps.system.retarget_temperature(cell.temperature)?;
+                    run_windows(b, alloc, &mut ps, cell)?;
+                    let controller = ps.system.controller();
+                    let hazards = controller.engine().audit_hazards(controller.rank());
+                    assert_eq!(hazards, 0, "{} at {:?}", b.name(), cell.temperature);
                     Ok(())
                 },
             )

@@ -70,57 +70,38 @@ impl BankTiming {
         }
     }
 
-    /// If `t` falls inside a refresh busy window, returns the window's end.
-    ///
-    /// `busy_of` maps a refresh command index to its bank-busy duration.
-    fn refresh_block_end(
-        &self,
-        t_ns: f64,
-        timing: &DerivedTiming,
-        busy_of: &mut dyn FnMut(u64) -> f64,
-    ) -> Option<f64> {
-        let k = self.refresh_index_before(t_ns, timing)?;
-        let start = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
-        let end = start + busy_of(k).clamp(0.0, timing.t_refi_ns);
-        (t_ns < end).then_some(end)
-    }
-
-    /// Whether any refresh began in `(from, to]` (used to invalidate the
-    /// row buffer after a refresh).
-    fn refresh_began_between(&self, from_ns: f64, to_ns: f64, timing: &DerivedTiming) -> bool {
-        let a = self
-            .refresh_index_before(from_ns, timing)
-            .map(|k| k as i64)
-            .unwrap_or(-1);
-        let b = self
-            .refresh_index_before(to_ns, timing)
-            .map(|k| k as i64)
-            .unwrap_or(-1);
-        b > a
-    }
-
     /// Serves one access to `row` arriving at `arrival_ns`.
     ///
     /// Returns `(finish_time_ns, kind)`. `busy_of` maps a refresh command
-    /// index to its busy duration (skip-aware refresh shortens it).
+    /// index to its busy duration (skip-aware refresh shortens it). The
+    /// refresh index of the start time is computed once and answers both
+    /// questions a request asks of the schedule: did a refresh begin
+    /// since this bank was last busy (it closed the row), and is one still
+    /// in progress (wait it out).
     pub fn serve(
         &mut self,
         row: RowIndex,
         arrival_ns: f64,
         timing: &DerivedTiming,
-        busy_of: &mut dyn FnMut(u64) -> f64,
+        mut busy_of: impl FnMut(u64) -> f64,
     ) -> (f64, AccessKind) {
         let mut start = arrival_ns.max(self.ready_at_ns);
+        let current = self.refresh_index_before(start, timing);
         // A refresh between our last activity and now closed the row.
-        if self.refresh_began_between(self.ready_at_ns.min(start), start, timing) {
+        let since = self.refresh_index_before(self.ready_at_ns.min(start), timing);
+        if index_or_minus_one(current) > index_or_minus_one(since) {
             self.open_row = None;
         }
         // Wait out an in-progress refresh window.
-        if let Some(end) = self.refresh_block_end(start, timing, busy_of) {
-            self.refresh_waits += 1;
-            self.refresh_wait_ns += end - start;
-            start = end;
-            self.open_row = None;
+        if let Some(k) = current {
+            let began = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
+            let end = began + busy_of(k).clamp(0.0, timing.t_refi_ns);
+            if start < end {
+                self.refresh_waits += 1;
+                self.refresh_wait_ns += end - start;
+                start = end;
+                self.open_row = None;
+            }
         }
         let (service, kind) = match self.open_row {
             Some(open) if open == row => (timing.hit_service_ns(), AccessKind::RowHit),
@@ -136,6 +117,84 @@ impl BankTiming {
         self.ready_at_ns = finish;
         self.open_row = Some(row);
         (finish, kind)
+    }
+}
+
+/// A refresh index as the row-closing test compares it: "no refresh
+/// yet" orders before every command, as `-1`.
+fn index_or_minus_one(k: Option<u64>) -> i64 {
+    k.map(|k| k as i64).unwrap_or(-1)
+}
+
+/// The request path before the refresh index was computed once per
+/// request, kept as the reference the unit tests compare against: one
+/// index computation for the row-closing test and another for the
+/// in-progress wait, and the busy-time closure behind `&mut dyn`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    impl BankTiming {
+        /// If `t` falls inside a refresh busy window, returns the
+        /// window's end.
+        fn refresh_block_end(
+            &self,
+            t_ns: f64,
+            timing: &DerivedTiming,
+            busy_of: &mut dyn FnMut(u64) -> f64,
+        ) -> Option<f64> {
+            let k = self.refresh_index_before(t_ns, timing)?;
+            let start = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
+            let end = start + busy_of(k).clamp(0.0, timing.t_refi_ns);
+            (t_ns < end).then_some(end)
+        }
+
+        /// Whether any refresh began in `(from, to]`.
+        fn refresh_began_between(&self, from_ns: f64, to_ns: f64, timing: &DerivedTiming) -> bool {
+            let a = self
+                .refresh_index_before(from_ns, timing)
+                .map(|k| k as i64)
+                .unwrap_or(-1);
+            let b = self
+                .refresh_index_before(to_ns, timing)
+                .map(|k| k as i64)
+                .unwrap_or(-1);
+            b > a
+        }
+
+        /// [`BankTiming::serve`] as it was.
+        pub(crate) fn serve_reference(
+            &mut self,
+            row: RowIndex,
+            arrival_ns: f64,
+            timing: &DerivedTiming,
+            busy_of: &mut dyn FnMut(u64) -> f64,
+        ) -> (f64, AccessKind) {
+            let mut start = arrival_ns.max(self.ready_at_ns);
+            if self.refresh_began_between(self.ready_at_ns.min(start), start, timing) {
+                self.open_row = None;
+            }
+            if let Some(end) = self.refresh_block_end(start, timing, busy_of) {
+                self.refresh_waits += 1;
+                self.refresh_wait_ns += end - start;
+                start = end;
+                self.open_row = None;
+            }
+            let (service, kind) = match self.open_row {
+                Some(open) if open == row => (timing.hit_service_ns(), AccessKind::RowHit),
+                Some(_) => (timing.conflict_service_ns(), AccessKind::RowConflict),
+                None => (timing.closed_service_ns(), AccessKind::RowClosed),
+            };
+            match kind {
+                AccessKind::RowHit => self.hits += 1,
+                AccessKind::RowClosed => self.closed += 1,
+                AccessKind::RowConflict => self.conflicts += 1,
+            }
+            let finish = start + service;
+            self.ready_at_ns = finish;
+            self.open_row = Some(row);
+            (finish, kind)
+        }
     }
 }
 

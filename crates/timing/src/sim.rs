@@ -28,6 +28,39 @@ impl TimingMetrics {
             row_conflicts: telemetry.counter("timing.row_conflicts"),
         }
     }
+
+    /// Adds the requests and row outcomes served between two stats
+    /// snapshots.
+    fn publish(&self, before: &TimingStats, after: &TimingStats) {
+        self.requests.add(after.requests - before.requests);
+        self.row_hits.add(after.row_hits - before.row_hits);
+        self.row_closed.add(after.row_closed - before.row_closed);
+        self.row_conflicts
+            .add(after.row_conflicts - before.row_conflicts);
+    }
+}
+
+/// Start times of the last four activates, for tRRD (the last) and
+/// tFAW (the fourth-last): a ring indexed by the activate count.
+#[derive(Debug, Clone, Default)]
+struct RecentActivates {
+    starts: [f64; 4],
+    count: u64,
+}
+
+impl RecentActivates {
+    fn push(&mut self, start_ns: f64) {
+        self.starts[(self.count % 4) as usize] = start_ns;
+        self.count += 1;
+    }
+
+    fn last(&self) -> Option<f64> {
+        (self.count >= 1).then(|| self.starts[((self.count - 1) % 4) as usize])
+    }
+
+    fn fourth_last(&self) -> Option<f64> {
+        (self.count >= 4).then(|| self.starts[(self.count % 4) as usize])
+    }
 }
 
 impl AccessKind {
@@ -89,8 +122,7 @@ pub struct MemoryTimingSim {
     timing: DerivedTiming,
     durations: RefreshDurations,
     banks: Vec<BankTiming>,
-    /// Start times of the most recent activates, for tRRD/tFAW.
-    recent_activates: Vec<f64>,
+    activates: RecentActivates,
     stats: TimingStats,
     telemetry: Arc<Telemetry>,
     metrics: TimingMetrics,
@@ -128,7 +160,7 @@ impl MemoryTimingSim {
             timing,
             durations,
             banks,
-            recent_activates: Vec::new(),
+            activates: RecentActivates::default(),
             stats: TimingStats::default(),
             metrics: TimingMetrics::new(&telemetry),
             telemetry,
@@ -149,6 +181,9 @@ impl MemoryTimingSim {
     /// Processes a request stream (must be sorted by arrival time) and
     /// returns the statistics of just this batch.
     ///
+    /// The `timing.*` counters are published once per batch, from the
+    /// batch's stats, including the requests served before an error.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::AddressOutOfRange`] for requests beyond the
@@ -156,47 +191,11 @@ impl MemoryTimingSim {
     pub fn process(&mut self, requests: &[MemoryRequest]) -> Result<TimingStats> {
         let _span = self.telemetry.span("timing.process");
         let before = self.stats;
-        let sets = self.geom.ar_sets_per_bank();
-        // One clone per batch so the closure below doesn't alias `self`.
-        let durations = self.durations.clone();
-        for req in requests {
-            let loc = self.geom.locate(req.addr)?;
-            let bank_idx = loc.bank.0;
-            let timing = self.timing;
-            let mut busy = |k: u64| durations.busy_ns(&timing, bank_idx, k % sets, sets);
-            // Rank-level activate serialization: approximate by delaying
-            // arrival if four activates happened within tFAW.
-            let arrival = self.rank_constrained_arrival(req.arrival_ns);
-            let (finish, kind) = self.banks[bank_idx].serve(loc.row, arrival, &timing, &mut busy);
-            if kind != AccessKind::RowHit {
-                self.note_activate(finish - timing.t_burst_ns - timing.cl_ns);
-            }
-            self.stats.requests += 1;
-            self.stats.total_latency_ns += finish - req.arrival_ns;
-            self.metrics.requests.inc();
-            match kind {
-                AccessKind::RowHit => {
-                    self.stats.row_hits += 1;
-                    self.metrics.row_hits.inc();
-                }
-                AccessKind::RowClosed => {
-                    self.stats.row_closed += 1;
-                    self.metrics.row_closed.inc();
-                }
-                AccessKind::RowConflict => {
-                    self.stats.row_conflicts += 1;
-                    self.metrics.row_conflicts.inc();
-                }
-            }
-            self.telemetry.emit(|| Event::RowBuffer {
-                bank: bank_idx,
-                row: loc.row.0,
-                outcome: kind.outcome_name(),
-            });
-            if self.trace.is_active() {
-                self.trace_commands(req, bank_idx, loc.row.0, kind, finish);
-            }
-        }
+        let mut stats = before;
+        let served = self.serve_all(requests, &mut stats);
+        self.metrics.publish(&before, &stats);
+        self.stats = stats;
+        served?;
         // Fold per-bank refresh-wait counters into the stats delta.
         let (mut waits, mut wait_ns) = (0u64, 0.0f64);
         for b in &self.banks {
@@ -217,6 +216,43 @@ impl MemoryTimingSim {
         delta.total_latency_ns -= before.total_latency_ns;
         delta.rank_wait_ns -= before.rank_wait_ns;
         Ok(delta)
+    }
+
+    /// Serves `requests` in order, tallying into `stats`; stops at the
+    /// first request beyond the capacity.
+    fn serve_all(&mut self, requests: &[MemoryRequest], stats: &mut TimingStats) -> Result<()> {
+        let sets = self.geom.ar_sets_per_bank();
+        let timing = self.timing;
+        for req in requests {
+            let loc = self.geom.locate(req.addr)?;
+            let bank_idx = loc.bank.0;
+            // Rank-level activate serialization: approximate by delaying
+            // arrival if four activates happened within tFAW.
+            let arrival = self.rank_constrained_arrival(req.arrival_ns, stats);
+            let durations = &self.durations;
+            let busy = |k: u64| durations.busy_ns(&timing, bank_idx, k % sets, sets);
+            let (finish, kind) = self.banks[bank_idx].serve(loc.row, arrival, &timing, busy);
+            if kind != AccessKind::RowHit {
+                self.activates
+                    .push(finish - timing.t_burst_ns - timing.cl_ns);
+            }
+            stats.requests += 1;
+            stats.total_latency_ns += finish - req.arrival_ns;
+            match kind {
+                AccessKind::RowHit => stats.row_hits += 1,
+                AccessKind::RowClosed => stats.row_closed += 1,
+                AccessKind::RowConflict => stats.row_conflicts += 1,
+            }
+            self.telemetry.emit(|| Event::RowBuffer {
+                bank: bank_idx,
+                row: loc.row.0,
+                outcome: kind.outcome_name(),
+            });
+            if self.trace.is_active() {
+                self.trace_commands(req, bank_idx, loc.row.0, kind, finish);
+            }
+        }
+        Ok(())
     }
 
     /// Records the implied DRAM command sequence of one request: PRE on
@@ -257,7 +293,7 @@ impl MemoryTimingSim {
         push(col, flags, cas_start, finish);
     }
 
-    fn rank_constrained_arrival(&mut self, arrival_ns: f64) -> f64 {
+    fn rank_constrained_arrival(&self, arrival_ns: f64, stats: &mut TimingStats) -> f64 {
         // tRRD against the last activate; tFAW against the fourth-last.
         // The wait is capped at one tFAW: requests are processed in
         // arrival order, so without the cap an activate queued behind a
@@ -265,23 +301,115 @@ impl MemoryTimingSim {
         // bank's backlog — an artifact of FCFS ordering, not a DRAM rule
         // (a real controller issues other banks' ACTs in between).
         let mut t = arrival_ns;
-        if let Some(&last) = self.recent_activates.last() {
+        if let Some(last) = self.activates.last() {
             t = t.max(last + self.timing.t_rrd_ns);
         }
-        if self.recent_activates.len() >= 4 {
-            let fourth = self.recent_activates[self.recent_activates.len() - 4];
+        if let Some(fourth) = self.activates.fourth_last() {
             t = t.max(fourth + self.timing.t_faw_ns);
         }
         t = t.min(arrival_ns + self.timing.t_faw_ns);
-        self.stats.rank_wait_ns += t - arrival_ns;
+        stats.rank_wait_ns += t - arrival_ns;
         t
     }
+}
 
-    fn note_activate(&mut self, start_ns: f64) {
-        self.recent_activates.push(start_ns);
-        let len = self.recent_activates.len();
-        if len > 8 {
-            self.recent_activates.drain(..len - 8);
+/// The request loop before its per-request overhead was dropped, kept
+/// as the reference the unit tests compare against: the durations
+/// cloned per batch, the busy-time closure behind `&mut dyn`,
+/// [`BankTiming::serve_reference`], and the last eight activates in a
+/// `Vec` trimmed by `drain`. Observability hooks are left out; the
+/// stats arithmetic is the original.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct ReferenceSim {
+        geom: Geometry,
+        timing: DerivedTiming,
+        durations: RefreshDurations,
+        pub(super) banks: Vec<BankTiming>,
+        recent_activates: Vec<f64>,
+        pub(super) stats: TimingStats,
+    }
+
+    impl ReferenceSim {
+        pub(super) fn new(config: &SystemConfig, durations: RefreshDurations) -> Result<Self> {
+            let sim = MemoryTimingSim::new(config, durations)?;
+            Ok(ReferenceSim {
+                geom: sim.geom,
+                timing: sim.timing,
+                durations: sim.durations,
+                banks: sim.banks,
+                recent_activates: Vec::new(),
+                stats: TimingStats::default(),
+            })
+        }
+
+        pub(super) fn process(&mut self, requests: &[MemoryRequest]) -> Result<TimingStats> {
+            let before = self.stats;
+            let sets = self.geom.ar_sets_per_bank();
+            let durations = self.durations.clone();
+            for req in requests {
+                let loc = self.geom.locate(req.addr)?;
+                let bank_idx = loc.bank.0;
+                let timing = self.timing;
+                let mut busy = |k: u64| durations.busy_ns(&timing, bank_idx, k % sets, sets);
+                let arrival = self.rank_constrained_arrival(req.arrival_ns);
+                let (finish, kind) =
+                    self.banks[bank_idx].serve_reference(loc.row, arrival, &timing, &mut busy);
+                if kind != AccessKind::RowHit {
+                    self.note_activate(finish - timing.t_burst_ns - timing.cl_ns);
+                }
+                self.stats.requests += 1;
+                self.stats.total_latency_ns += finish - req.arrival_ns;
+                match kind {
+                    AccessKind::RowHit => self.stats.row_hits += 1,
+                    AccessKind::RowClosed => self.stats.row_closed += 1,
+                    AccessKind::RowConflict => self.stats.row_conflicts += 1,
+                }
+            }
+            let (mut waits, mut wait_ns) = (0u64, 0.0f64);
+            for b in &self.banks {
+                let (w, ns) = b.refresh_wait();
+                waits += w;
+                wait_ns += ns;
+            }
+            self.stats.refresh_stalled = waits;
+            self.stats.refresh_wait_ns = wait_ns;
+
+            let mut delta = self.stats;
+            delta.requests -= before.requests;
+            delta.row_hits -= before.row_hits;
+            delta.row_closed -= before.row_closed;
+            delta.row_conflicts -= before.row_conflicts;
+            delta.refresh_stalled -= before.refresh_stalled;
+            delta.refresh_wait_ns -= before.refresh_wait_ns;
+            delta.total_latency_ns -= before.total_latency_ns;
+            delta.rank_wait_ns -= before.rank_wait_ns;
+            Ok(delta)
+        }
+
+        fn rank_constrained_arrival(&mut self, arrival_ns: f64) -> f64 {
+            let mut t = arrival_ns;
+            if let Some(&last) = self.recent_activates.last() {
+                t = t.max(last + self.timing.t_rrd_ns);
+            }
+            if self.recent_activates.len() >= 4 {
+                let fourth = self.recent_activates[self.recent_activates.len() - 4];
+                t = t.max(fourth + self.timing.t_faw_ns);
+            }
+            t = t.min(arrival_ns + self.timing.t_faw_ns);
+            self.stats.rank_wait_ns += t - arrival_ns;
+            t
+        }
+
+        fn note_activate(&mut self, start_ns: f64) {
+            self.recent_activates.push(start_ns);
+            let len = self.recent_activates.len();
+            if len > 8 {
+                self.recent_activates.drain(..len - 8);
+            }
         }
     }
 }
@@ -412,5 +540,148 @@ mod tests {
         let a = sim.process(&reqs).unwrap();
         assert_eq!(a.requests, 1000);
         assert_eq!(sim.stats().requests, 1000);
+    }
+
+    /// Every field of a stats value as bits, so equality is exact.
+    fn stats_bits(s: &TimingStats) -> [u64; 8] {
+        [
+            s.requests,
+            s.row_hits,
+            s.row_closed,
+            s.row_conflicts,
+            s.refresh_stalled,
+            s.refresh_wait_ns.to_bits(),
+            s.total_latency_ns.to_bits(),
+            s.rank_wait_ns.to_bits(),
+        ]
+    }
+
+    /// Per-bank (hits, closed, conflicts, refresh waits, wait-ns bits).
+    fn bank_counters(banks: &[BankTiming]) -> Vec<(u64, u64, u64, u64, u64)> {
+        banks
+            .iter()
+            .map(|b| {
+                let (h, c, x) = b.access_counts();
+                let (w, ns) = b.refresh_wait();
+                (h, c, x, w, ns.to_bits())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn request_loop_matches_the_reference_bit_for_bit() {
+        let (mut stalled, mut errors, mut variants) = (0u64, 0u64, [0u64; 3]);
+        zr_types::rng::cases("timing_loop_matches_reference", 48, |rng| {
+            let mut cfg = config();
+            // Small capacities have few AR sets per bank, so the refresh
+            // command index wraps around the sets within a stream.
+            cfg.dram.capacity_bytes = [512 << 10, 4 << 20, 1 << 30][rng.below(3) as usize];
+            cfg.dram.cell_block_rows = (cfg.dram.rows_per_bank() / 8).clamp(1, 512);
+            // Table II's 28 ns, and the per-bank 16 Gb tRFC Fig. 17 runs
+            // at, so refresh stalls are common in some cases.
+            cfg.timing.t_rfc_ns = [28.0, 175.0, 550.0][rng.below(3) as usize];
+            let geom = cfg.geometry();
+            let n = (geom.num_banks() as u64 * geom.ar_sets_per_bank()) as usize;
+            let variant = rng.below(3) as usize;
+            variants[variant] += 1;
+            let durations = match variant {
+                0 => RefreshDurations::Conventional,
+                1 => RefreshDurations::Uniform {
+                    refreshed_fraction: rng.unit_f64() * 1.2 - 0.1,
+                },
+                _ => RefreshDurations::PerSet((0..n).map(|_| rng.unit_f64()).collect()),
+            };
+            let interval = 5.0 + rng.unit_f64() * 1995.0;
+            let locality = rng.unit_f64();
+            let mut gen = RequestGenerator::new(&cfg, rng.next_u64());
+            gen.arrival_interval_ns(interval)
+                .row_locality(locality)
+                .write_fraction(rng.unit_f64());
+            let requests = gen.generate(1500 + rng.below(1500) as usize).unwrap();
+            let mut sim = MemoryTimingSim::new(&cfg, durations.clone()).unwrap();
+            let mut reference = reference::ReferenceSim::new(&cfg, durations).unwrap();
+            let context = format!(
+                "capacity {} tRFC {} interval {interval} locality {locality}",
+                cfg.dram.capacity_bytes, cfg.timing.t_rfc_ns
+            );
+            // Several batches, some cut short by an out-of-range request.
+            let mut rest = &requests[..];
+            while !rest.is_empty() {
+                let take = (1 + rng.below(rest.len() as u64)) as usize;
+                let mut batch = rest[..take].to_vec();
+                rest = &rest[take..];
+                if rng.below(4) == 0 {
+                    let at = rng.below(batch.len() as u64 + 1) as usize;
+                    batch.insert(
+                        at,
+                        MemoryRequest {
+                            addr: zr_types::geometry::LineAddr(geom.total_lines()),
+                            arrival_ns: batch.get(at).map_or(0.0, |r| r.arrival_ns),
+                            is_write: false,
+                        },
+                    );
+                }
+                match (sim.process(&batch), reference.process(&batch)) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(stats_bits(&got), stats_bits(&want), "{context}")
+                    }
+                    (Err(_), Err(_)) => errors += 1,
+                    (got, want) => panic!("{context}: {got:?} vs {want:?}"),
+                }
+                assert_eq!(
+                    stats_bits(&sim.stats()),
+                    stats_bits(&reference.stats),
+                    "{context}"
+                );
+                assert_eq!(
+                    bank_counters(&sim.banks),
+                    bank_counters(&reference.banks),
+                    "{context}"
+                );
+            }
+            stalled += sim.stats().refresh_stalled;
+        });
+        assert!(
+            stalled > 0 && errors > 0 && variants.iter().all(|&v| v > 0),
+            "battery never stalled ({stalled}), errored ({errors}) or missed a variant ({variants:?})"
+        );
+    }
+
+    #[test]
+    fn counters_equal_the_stats_they_publish() {
+        let telemetry = Arc::new(Telemetry::new());
+        let _guard = Telemetry::push_current(Arc::clone(&telemetry));
+        let counters = || {
+            let snap = telemetry.snapshot();
+            [
+                "timing.requests",
+                "timing.row_hits",
+                "timing.row_closed",
+                "timing.row_conflicts",
+            ]
+            .map(|name| snap.counter(name))
+        };
+        let outcomes = |s: &TimingStats| [s.requests, s.row_hits, s.row_closed, s.row_conflicts];
+        let cfg = config();
+        let mut sim = MemoryTimingSim::new(&cfg, RefreshDurations::Conventional).unwrap();
+        let first = sim.process(&stream(3000, 20.0, 0.6)).unwrap();
+        assert_eq!(counters(), outcomes(&first));
+        // A stream that stops at an out-of-range request publishes the
+        // requests it served before the error.
+        let mut cut = stream(500, 20.0, 0.6);
+        cut.insert(
+            200,
+            MemoryRequest {
+                addr: zr_types::geometry::LineAddr(u64::MAX),
+                arrival_ns: cut[200].arrival_ns,
+                is_write: false,
+            },
+        );
+        assert!(sim.process(&cut).is_err());
+        assert_eq!(sim.stats().requests, 3200);
+        assert_eq!(counters(), outcomes(&sim.stats()));
+        let last = sim.process(&stream(1000, 20.0, 0.6)).unwrap();
+        assert_eq!(last.requests, 1000);
+        assert_eq!(counters(), outcomes(&sim.stats()));
     }
 }

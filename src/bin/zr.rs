@@ -57,8 +57,13 @@ fn experiment(alloc_unused: Option<&String>) -> ExperimentConfig {
 
 fn info(capacity_mb: Option<&String>) -> Result<(), Error> {
     let mut cfg = SystemConfig::paper_default();
-    if let Some(mb) = capacity_mb.and_then(|v| v.parse::<u64>().ok()) {
-        cfg.dram.capacity_bytes = mb << 20;
+    if let Some(arg) = capacity_mb {
+        let mb: u64 = arg.parse().map_err(|_| {
+            Error::invalid_config(format!("capacity_mb={arg:?} is not a whole number"))
+        })?;
+        cfg.dram.capacity_bytes = mb.checked_mul(1 << 20).ok_or_else(|| {
+            Error::invalid_config(format!("capacity_mb={mb} overflows u64 bytes"))
+        })?;
     }
     cfg.validate()?;
     let geom = cfg.geometry();
