@@ -16,8 +16,12 @@
 //!
 //! Every bank additionally maintains a word-packed *charged bitmap* with
 //! one bit per chip-row (bit set = at least one charged cell). The bitmap
-//! is rebuilt incrementally on every write by diffing the overwritten
-//! segment against the discharged pattern, so the §IV-B wired-OR check
+//! is rebuilt incrementally on every write from per-chip counts of
+//! charged bytes (bytes that differ from the discharged pattern). A write
+//! updates a chip's count a word at a time: the old and the new bytes of
+//! its segment are XORed with the pattern repeated across a `u64`, and a
+//! mask-and-multiply counts the non-zero bytes of each result. Only a
+//! count's zero-crossings flip the chip's bit, so the §IV-B wired-OR check
 //! ([`DramRank::chip_row_is_discharged`]) is a single bit probe,
 //! `BankBits::charged` answers 64 rows of one chip at once for the
 //! refresh engine, and [`DramRank::count_discharged_chip_rows_in_bank`]
@@ -27,7 +31,10 @@
 //! The original per-cell byte-scan path is retained behind
 //! `#[cfg(any(test, feature = "scalar-oracle"))]` as the differential
 //! reference oracle ([`DramRank::set_force_scalar`]); debug builds with
-//! the oracle compiled in assert the two paths agree on every query.
+//! the oracle compiled in assert the two paths agree on every query. The
+//! byte-at-a-time count loop the word-wide one replaced is kept in the
+//! tests, where a seeded battery checks every count and charged word
+//! against it for segments of 1 to 128 bytes.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -120,6 +127,40 @@ fn charged_count(tail: &[u8], c: usize) -> u32 {
 
 fn set_charged_count(tail: &mut [u8], c: usize, value: u32) {
     tail[c * 4..c * 4 + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+/// Bytes of `segment` that differ from the discharged byte `pattern`,
+/// eight at a time: XOR with the pattern in every byte leaves exactly the
+/// charged bytes non-zero. A short last chunk (segments under eight
+/// bytes) is padded with the pattern, which the XOR cancels.
+#[inline(always)]
+fn charged_bytes(segment: &[u8], pattern: u8) -> u32 {
+    let repeated = u64::from_le_bytes([pattern; 8]);
+    segment
+        .chunks(8)
+        .map(|chunk| {
+            let word = match <[u8; 8]>::try_from(chunk) {
+                Ok(word) => u64::from_le_bytes(word),
+                // Shifting the bytes in from the top keeps pattern bytes
+                // above them.
+                Err(_) => (chunk.iter().rev()).fold(repeated, |w, &b| w << 8 | u64::from(b)),
+            };
+            nonzero_bytes(word ^ repeated)
+        })
+        .sum()
+}
+
+/// Non-zero bytes of `x` by mask-and-multiply: bit 7 of a byte of
+/// `((x & 0x7F…) + 0x7F…) | x` is set iff the byte is non-zero (the add
+/// carries into bit 7, and never out of the byte, exactly when the low
+/// seven bits are non-zero), and one multiply sums the eight flags into
+/// the top byte. Baseline x86-64 has no population-count instruction
+/// (see `FieldTally` in the refresh engine).
+#[inline(always)]
+fn nonzero_bytes(x: u64) -> u32 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let flags = ((((x & LOW7) + LOW7) | x) >> 7) & 0x0101_0101_0101_0101;
+    (flags.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
 }
 
 /// One bank: its written rows plus the packed charged bitmap over all
@@ -303,17 +344,13 @@ impl DramRank {
         store.written |= u128::MAX >> (128 - num_chips);
         let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
         let dst_line = &mut image[slot * line_bytes..(slot + 1) * line_bytes];
-        let pairs = dst_line
-            .chunks_exact_mut(seg)
-            .zip(chip_major.chunks_exact(seg));
-        for (c, (dst, segment)) in pairs.enumerate() {
+        let pairs = dst_line.chunks_exact(seg).zip(chip_major.chunks_exact(seg));
+        for (c, (old, new)) in pairs.enumerate() {
             let before = charged_count(tail, c);
-            let mut count = i64::from(before);
-            for (d, &s) in dst.iter_mut().zip(segment.iter()) {
-                count += i64::from(s != pattern) - i64::from(*d != pattern);
-                *d = s;
-            }
-            set_charged_count(tail, c, count as u32);
+            // The overwritten bytes are part of `before`, so this never
+            // goes below zero.
+            let count = before - charged_bytes(old, pattern) + charged_bytes(new, pattern);
+            set_charged_count(tail, c, count);
             // Flip the packed bit only on zero-crossings of the per-chip
             // charged-byte count.
             if before == 0 && count > 0 {
@@ -322,6 +359,7 @@ impl DramRank {
                 charged[c * words_per_chip + word_off] &= !mask;
             }
         }
+        dst_line.copy_from_slice(chip_major);
         Ok(())
     }
 
@@ -963,5 +1001,150 @@ mod tests {
             r.count_discharged_chip_rows(),
             16 * g.num_banks() as u64 * g.num_chips() as u64
         );
+    }
+
+    // --- word-wide charged counts against the byte loop -----------------
+
+    /// The byte loop [`DramRank::write_encoded_line`] replaced: one
+    /// compare per byte, kept as the reference its word-wide counts are
+    /// checked against.
+    fn write_bytewise(r: &mut DramRank, bank: BankId, row: RowIndex, slot: usize, line: &[u8]) {
+        r.check_location(bank, row, slot).unwrap();
+        let seg = r.geom.line_bytes_per_chip();
+        let line_bytes = r.geom.line_bytes();
+        let row_bytes = r.geom.row_bytes();
+        let num_chips = r.geom.num_chips();
+        let cell = r.cell_type(row);
+        let pattern = cell.discharged_byte();
+        let (word_off, mask) = ((row.0 / 64) as usize, 1u64 << (row.0 % 64));
+        let words_per_chip = r.words_per_chip;
+        let blank = &r.blank[usize::from(cell == CellType::Anti)];
+        let BankStore { rows, charged, .. } = &mut r.banks[bank.0];
+        let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
+        store.written |= u128::MAX >> (128 - num_chips);
+        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
+        let dst_line = &mut image[slot * line_bytes..(slot + 1) * line_bytes];
+        let pairs = dst_line.chunks_exact_mut(seg).zip(line.chunks_exact(seg));
+        for (c, (dst, segment)) in pairs.enumerate() {
+            let before = charged_count(tail, c);
+            let mut count = i64::from(before);
+            for (d, &s) in dst.iter_mut().zip(segment.iter()) {
+                count += i64::from(s != pattern) - i64::from(*d != pattern);
+                *d = s;
+            }
+            set_charged_count(tail, c, count as u32);
+            if before == 0 && count > 0 {
+                charged[c * words_per_chip + word_off] |= mask;
+            } else if before > 0 && count == 0 {
+                charged[c * words_per_chip + word_off] &= !mask;
+            }
+        }
+    }
+
+    /// A rank of `num_chips` chips on `line_bytes` lines (8-byte words),
+    /// 2 banks of 16 rows of 512 bytes, true and anti cells alternating
+    /// every 2 rows.
+    fn seg_rank(line_bytes: usize, num_chips: usize) -> DramRank {
+        let mut cfg = SystemConfig::small_test();
+        cfg.line.line_bytes = line_bytes;
+        cfg.dram.num_chips = num_chips;
+        cfg.dram.row_bytes = 512;
+        cfg.dram.capacity_bytes = 2 * 16 * 512;
+        cfg.dram.cell_block_rows = 2;
+        DramRank::new(&cfg).unwrap()
+    }
+
+    /// Every row store's bytes (image and count tail) and every packed
+    /// charged and spared word of two ranks are equal.
+    fn assert_same_state(got: &DramRank, want: &DramRank, what: &str) {
+        for (b, (g, w)) in got.banks.iter().zip(&want.banks).enumerate() {
+            assert_eq!(g.charged, w.charged, "bank {b} charged words, {what}");
+            assert_eq!(g.spared, w.spared, "bank {b} spared words, {what}");
+            assert_eq!(g.rows.len(), w.rows.len(), "bank {b} resident rows, {what}");
+            for (row, ws) in &w.rows {
+                let gs = &g.rows[row];
+                assert_eq!(gs.written, ws.written, "bank {b} row {row} written, {what}");
+                assert_eq!(gs.bytes, ws.bytes, "bank {b} row {row} bytes, {what}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_wide_counts_match_the_byte_loop() {
+        // (line bytes, chips): segments of 32, 16, 8, 4, 2 and 1 bytes
+        // on 64-byte lines, then 128, 64 and 128 bytes on wider lines.
+        let shapes = [
+            (64, 2),
+            (64, 4),
+            (64, 8),
+            (64, 16),
+            (64, 32),
+            (64, 64),
+            (128, 1),
+            (256, 4),
+            (256, 2),
+        ];
+        let mut rng = zr_types::rng::SplitMix64::new(0x0C0D_EC0D_E5E6);
+        for (line_bytes, chips) in shapes {
+            let mut got = seg_rank(line_bytes, chips);
+            let g = got.geometry().clone();
+            assert_eq!(g.line_bytes_per_chip(), line_bytes / chips);
+            for (bank, row) in [(0, 1), (1, 2), (1, 7)] {
+                got.add_spared_row(BankId(bank), RowIndex(row));
+            }
+            let mut want = got.clone();
+            let (mut charges, mut discharges) = (0u32, 0u32);
+            let mut line = vec![0u8; line_bytes];
+            for step in 0..1500 {
+                let bank = BankId(rng.below(2) as usize);
+                // Few rows and slots, so counts often return to zero.
+                let row = RowIndex(rng.below(8));
+                let slot = [0, g.lines_per_row() - 1][rng.below(2) as usize];
+                let pattern = got.cell_type(row).discharged_byte();
+                match rng.below(16) {
+                    0 => {
+                        got.cleanse_row(bank, row).unwrap();
+                        want.cleanse_row(bank, row).unwrap();
+                        continue;
+                    }
+                    1 => {
+                        let chip = ChipId(rng.below(chips as u64) as usize);
+                        got.force_charge_chip_row(chip, bank, row).unwrap();
+                        want.force_charge_chip_row(chip, bank, row).unwrap();
+                        continue;
+                    }
+                    2..=5 => line.fill(pattern),
+                    6 => line.fill(!pattern),
+                    7 => rng.fill_bytes(&mut line),
+                    _ => {
+                        // Each segment either discharged or holding a
+                        // few charged bytes, possibly only in its tail.
+                        line.fill(pattern);
+                        for segment in line.chunks_exact_mut(g.line_bytes_per_chip()) {
+                            if rng.below(2) == 0 {
+                                for _ in 0..=rng.below(3) {
+                                    let at = rng.below(segment.len() as u64) as usize;
+                                    segment[at] = rng.next_u64() as u8;
+                                }
+                            }
+                        }
+                    }
+                }
+                let before = want.banks[bank.0].charged.clone();
+                got.write_encoded_line(bank, row, slot, &line).unwrap();
+                write_bytewise(&mut want, bank, row, slot, &line);
+                for (old, new) in before.iter().zip(&want.banks[bank.0].charged) {
+                    charges += (new & !old).count_ones();
+                    discharges += (old & !new).count_ones();
+                }
+                let what = format!("{line_bytes} B lines, {chips} chips, step {step}");
+                assert_same_state(&got, &want, &what);
+            }
+            assert!(
+                charges > 20 && discharges > 20,
+                "{line_bytes} B lines, {chips} chips: {charges} charging and \
+                 {discharges} discharging zero-crossings"
+            );
+        }
     }
 }

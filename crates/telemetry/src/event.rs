@@ -127,13 +127,20 @@ pub enum Event {
 impl Event {
     /// Whether this kind is high-rate and therefore subject to sampling.
     pub fn sampled(&self) -> bool {
-        matches!(
-            self,
-            Event::SkipDecision { .. }
-                | Event::TransformStage { .. }
-                | Event::RowBuffer { .. }
-                | Event::CacheWriteback { .. }
-        )
+        self.sample_slot().is_some()
+    }
+
+    /// The sampling counter of a sampled kind: each kind counts only its
+    /// own events, so which ones a sink keeps does not depend on how many
+    /// events of other kinds came between them.
+    fn sample_slot(&self) -> Option<usize> {
+        match self {
+            Event::SkipDecision { .. } => Some(0),
+            Event::TransformStage { .. } => Some(1),
+            Event::RowBuffer { .. } => Some(2),
+            Event::CacheWriteback { .. } => Some(3),
+            _ => None,
+        }
     }
 }
 
@@ -277,7 +284,8 @@ pub struct EventSink {
     dropped: AtomicU64,
     started: Instant,
     sample: SampleConfig,
-    sample_counter: AtomicU64,
+    /// One counter per sampled kind ([`Event::sample_slot`]).
+    sample_counters: [AtomicU64; 4],
 }
 
 impl EventSink {
@@ -306,16 +314,17 @@ impl EventSink {
             dropped: AtomicU64::new(0),
             started: Instant::now(),
             sample,
-            sample_counter: AtomicU64::new(0),
+            sample_counters: Default::default(),
         }
     }
 
-    /// Whether a sampled-kind event should be recorded right now.
+    /// Whether a sampled-kind event should be recorded right now: the
+    /// first of every `rate` events of its kind is.
     fn admit(&self, event: &Event) -> bool {
-        if !event.sampled() {
+        let Some(slot) = event.sample_slot() else {
             return true;
-        }
-        let n = self.sample_counter.fetch_add(1, Ordering::Relaxed);
+        };
+        let n = self.sample_counters[slot].fetch_add(1, Ordering::Relaxed);
         if n.is_multiple_of(self.sample.rate) {
             true
         } else {
@@ -466,6 +475,52 @@ mod tests {
         // Low-rate kinds always pass.
         sink.record(&window_event(), None, None);
         assert_eq!(sink.take_lines().len(), 1);
+    }
+
+    #[test]
+    fn each_sampled_kind_keeps_its_own_count() {
+        // The skip decisions a rate-4 sink keeps are the same with and
+        // without transform events interleaved between them.
+        let skip = |set| Event::SkipDecision {
+            bank: 1,
+            set,
+            trusted: set % 3 == 0,
+            rows_refreshed: set % 5,
+            rows_skipped: 8,
+        };
+        let stage = |row| Event::TransformStage {
+            op: "encode",
+            row,
+            ebdi: true,
+            bit_plane: true,
+            inverted: row % 2 == 1,
+            rotation: true,
+        };
+        let kept_skips = |sink: &EventSink| -> Vec<String> {
+            let lines = sink.take_lines();
+            let skips = lines
+                .iter()
+                .filter(|l| l.contains("\"type\":\"skip_decision\""));
+            // Drop `seq` and `t_us`: only the event members are compared.
+            skips
+                .map(|l| l[l.find("\"type\"").unwrap()..].to_string())
+                .collect()
+        };
+        let alone = EventSink::memory(SampleConfig { rate: 4 });
+        for set in 0..40 {
+            alone.record(&skip(set), None, None);
+        }
+        let mixed = EventSink::memory(SampleConfig { rate: 4 });
+        for set in 0..40 {
+            for row in 0..set % 7 {
+                mixed.record(&stage(row), None, None);
+            }
+            mixed.record(&skip(set), None, None);
+        }
+        let want = kept_skips(&alone);
+        assert_eq!(want.len(), 10);
+        assert!(want[1].contains("\"set\":4,"), "{}", want[1]);
+        assert_eq!(kept_skips(&mixed), want);
     }
 
     #[test]

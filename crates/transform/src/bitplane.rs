@@ -24,17 +24,25 @@
 //! Byte lane `L` of the deltas (their bits `8L .. 8L + 8`) feeds exactly
 //! eight consecutive planes, which fill the `D` whole bytes starting at
 //! region byte `D · (word_bytes − 1 − L)`. The kernel therefore works in
-//! lanes: it gathers byte `L` of up to eight deltas into a `u64`,
-//! transposes that 8×8 bit matrix in three delta swaps, and packs the
-//! eight plane chunks MSB-first into the lane's bytes. Every lane is
-//! gathered before any is written, so the stage runs in place.
-//! Untransposing runs the same steps backwards. The kernel is written once
-//! and inlined into a constant-shape copy for the paper's default geometry
-//! (64-byte lines of 8-byte words), where every shift, offset and bound
-//! folds to a constant; every other geometry runs the same code with
-//! runtime shapes. The per-bit walk it replaced is kept as a test-only
-//! reference, and a differential battery compares the two on every valid
-//! geometry with lines of up to 256 bytes.
+//! lanes, on groups of up to eight deltas: it loads each delta with one
+//! word load, turns the group into lane words with an 8×8 byte
+//! transpose (three word-swap rounds at 32, 16 and 8 bits), and
+//! transposes each lane word as an 8×8 bit matrix in three delta swaps,
+//! which leaves the lane's eight plane chunks in its eight bytes. When
+//! the deltas fit one group (`D ≤ 8`, as at the paper's 64-byte lines of
+//! 8-byte words) a lane's chunks are contiguous in the output, so three
+//! mask rounds squeeze them into the top `8 · D` bits of one word, which
+//! is stored whole. Longer lines pack each plane's chunks from every
+//! group MSB-first. Every delta is loaded before any plane is written, so
+//! the stage runs in place. Untransposing runs the same steps backwards.
+//!
+//! The kernel is written once per direction and inlined into a
+//! constant-shape copy for the paper's default geometry, where every
+//! shift, mask, offset and bound folds to a constant; every other
+//! geometry runs the same code with runtime shapes. The per-bit walk it
+//! replaced is kept as a test-only reference, and a differential battery
+//! compares the two on every valid geometry with lines of up to 256
+//! bytes, one-group and multi-group shapes alike.
 
 use zr_types::{CachelineConfig, Error, Result};
 
@@ -129,13 +137,30 @@ pub fn untranspose_in_place_with(
 #[inline(always)]
 fn transpose_lanes(line: &mut [u8], wb: usize, d: usize, scratch: &mut Vec<u64>) {
     let groups = d.div_ceil(8);
-    let blocks = lane_blocks(scratch, wb * groups);
     let region = &mut line[wb..wb * (d + 1)];
+    if groups == 1 {
+        // Every delta is loaded before any plane is written, and each
+        // lane's eight plane chunks are contiguous: one squeezed word,
+        // stored whole in ascending region order. A word spills past its
+        // lane's `d` bytes only into lanes stored after it.
+        let lanes = group_lanes(region, wb, d, 0);
+        for lane in (0..wb).rev() {
+            let at = d * (wb - 1 - lane);
+            let planes = squeeze(lanes[lane], d).to_be_bytes();
+            match region.get_mut(at..at + 8) {
+                Some(word) => word.copy_from_slice(&planes),
+                None => region[at..at + d].copy_from_slice(&planes[..d]),
+            }
+        }
+        return;
+    }
+    let blocks = lane_blocks(scratch, wb * groups);
     // Every block is gathered before any plane is written: the planes
     // overwrite the deltas in place.
-    for lane in 0..wb {
-        for g in 0..groups {
-            blocks[lane * groups + g] = transpose8(gather_lane(region, wb, d, lane, g));
+    for g in 0..groups {
+        let lanes = group_lanes(region, wb, d, g);
+        for (lane, &m) in lanes[..wb].iter().enumerate() {
+            blocks[lane * groups + g] = m;
         }
     }
     for lane in 0..wb {
@@ -155,8 +180,28 @@ fn transpose_lanes(line: &mut [u8], wb: usize, d: usize, scratch: &mut Vec<u64>)
 #[inline(always)]
 fn untranspose_lanes(line: &mut [u8], wb: usize, d: usize, scratch: &mut Vec<u64>) {
     let groups = d.div_ceil(8);
-    let blocks = lane_blocks(scratch, wb * groups);
     let region = &mut line[wb..wb * (d + 1)];
+    if groups == 1 {
+        let mut lanes = [0u64; 8];
+        for (lane, m) in lanes[..wb].iter_mut().enumerate() {
+            // A whole word where the region has one: the bytes past this
+            // lane's `d` land below the chunks, like `unsqueeze`'s copies.
+            let at = d * (wb - 1 - lane);
+            let planes = match region.get(at..at + 8) {
+                Some(word) => u64::from_be_bytes(word.try_into().expect("8 bytes")),
+                None => {
+                    region[at..at + d]
+                        .iter()
+                        .fold(0, |w, &b| w << 8 | u64::from(b))
+                        << (64 - 8 * d)
+                }
+            };
+            *m = unsqueeze(planes, d);
+        }
+        scatter_group(lanes, region, wb, d, 0);
+        return;
+    }
+    let blocks = lane_blocks(scratch, wb * groups);
     for lane in 0..wb {
         let mut source = BitSource::new(&region[d * (wb - 1 - lane)..][..d]);
         for plane in 0..8 {
@@ -166,11 +211,12 @@ fn untranspose_lanes(line: &mut [u8], wb: usize, d: usize, scratch: &mut Vec<u64
             }
         }
     }
-    for lane in 0..wb {
-        for g in 0..groups {
-            let m = transpose8(blocks[lane * groups + g]);
-            scatter_lane(m, region, wb, d, lane, g);
+    for g in 0..groups {
+        let mut lanes = [0u64; 8];
+        for (lane, m) in lanes[..wb].iter_mut().enumerate() {
+            *m = blocks[lane * groups + g];
         }
+        scatter_group(lanes, region, wb, d, g);
     }
 }
 
@@ -189,24 +235,71 @@ fn group_len(d: usize, g: usize) -> usize {
     (d - 8 * g).min(8)
 }
 
-/// Byte `lane` of deltas `8g..8g+8` of the little-endian delta `region`
-/// as the rows of an 8×8 bit matrix, the first delta in the most
-/// significant byte (rows past the last delta are zero).
+/// The lane words of deltas `8g..8g+8` of the little-endian delta
+/// `region`: word `L` (for `L < wb`; the rest are unspecified) holds the
+/// [`transpose8`] of byte `L` of each delta as the rows of an 8×8 bit
+/// matrix, the first delta in the most significant byte (rows past the
+/// last delta are zero). Each delta is one word load; an 8×8 byte
+/// transpose turns the deltas into lanes.
 #[inline(always)]
-fn gather_lane(region: &[u8], wb: usize, d: usize, lane: usize, g: usize) -> u64 {
-    let mut m = 0;
+fn group_lanes(region: &[u8], wb: usize, d: usize, g: usize) -> [u64; 8] {
+    let mut words = [0u64; 8];
     for r in 0..group_len(d, g) {
-        m |= u64::from(region[(8 * g + r) * wb + lane]) << (56 - 8 * r);
+        // A whole-word load where the region has one: the bytes past the
+        // delta go to lanes past `wb`, which are not used. Delta `r` in
+        // word `7 − r` puts its byte `L` in byte `7 − r` of lane word `L`.
+        let at = (8 * g + r) * wb;
+        words[7 - r] = match region.get(at..at + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+            None => region[at..at + wb]
+                .iter()
+                .rev()
+                .fold(0, |w, &b| w << 8 | u64::from(b)),
+        };
     }
-    m
+    transpose_bytes(&mut words);
+    for m in &mut words[..wb] {
+        *m = transpose8(*m);
+    }
+    words
 }
 
-/// Inverse of [`gather_lane`]: stores row `r` of `m` as byte `lane` of
-/// delta `8g + r`.
+/// Inverse of [`group_lanes`]: stores the deltas whose lane words are
+/// `lanes` (words past `wb` unused) as deltas `8g..8g+8` of `region`, in
+/// ascending order. A whole-word store spills past its delta only into
+/// deltas stored after it, so the caller reads every lane first.
 #[inline(always)]
-fn scatter_lane(m: u64, region: &mut [u8], wb: usize, d: usize, lane: usize, g: usize) {
+fn scatter_group(mut lanes: [u64; 8], region: &mut [u8], wb: usize, d: usize, g: usize) {
+    for m in &mut lanes[..wb] {
+        *m = transpose8(*m);
+    }
+    transpose_bytes(&mut lanes);
     for r in 0..group_len(d, g) {
-        region[(8 * g + r) * wb + lane] = (m >> (56 - 8 * r)) as u8;
+        let at = (8 * g + r) * wb;
+        let delta = lanes[7 - r].to_le_bytes();
+        match region.get_mut(at..at + 8) {
+            Some(word) => word.copy_from_slice(&delta),
+            None => region[at..at + wb].copy_from_slice(&delta[..wb]),
+        }
+    }
+}
+
+/// Transposes an 8×8 byte matrix held one row per word: byte `c` of word
+/// `r` trades places with byte `r` of word `c`. Three word-swap rounds
+/// exchange the off-diagonal 4×4, then 2×2, then 1×1 blocks (32-, 16-
+/// and 8-bit units). An involution, so it also undoes itself.
+#[inline(always)]
+fn transpose_bytes(words: &mut [u64; 8]) {
+    for (k, mask) in [
+        (4, 0x0000_0000_FFFF_FFFF),
+        (2, 0x0000_FFFF_0000_FFFF),
+        (1, 0x00FF_00FF_00FF_00FF),
+    ] {
+        for i in (0..8).filter(|i| i & k == 0) {
+            let t = ((words[i] >> (8 * k)) ^ words[i + k]) & mask;
+            words[i] ^= t << (8 * k);
+            words[i + k] ^= t;
+        }
     }
 }
 
@@ -225,6 +318,30 @@ fn transpose8(mut x: u64) -> u64 {
     x ^= t ^ (t << 14);
     let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
     x ^ t ^ (t << 28)
+}
+
+/// Packs the top `n` (1..=8) bits of each byte of `x`, whose other bits
+/// are zero, into its top `8n` bits, most significant byte first: three
+/// rounds close the gaps between bytes, byte pairs, then halves.
+#[inline(always)]
+fn squeeze(x: u64, n: usize) -> u64 {
+    let gap = 8 - n as u32;
+    let x = x & 0xFF00_FF00_FF00_FF00 | (x & 0x00FF_00FF_00FF_00FF) << gap;
+    let x = x & 0xFFFF_0000_FFFF_0000 | (x & 0x0000_FFFF_0000_FFFF) << (2 * gap);
+    x & 0xFFFF_FFFF_0000_0000 | (x & 0x0000_0000_FFFF_FFFF) << (4 * gap)
+}
+
+/// Inverse of [`squeeze`]: spreads the top `8n` bits of `x` back over
+/// the top `n` bits of each byte. The bits below each byte's top `n` are
+/// left holding copies of later chunks, not zeros: [`scatter_group`]'s
+/// transposes carry them into the rows past the group's last delta,
+/// which are never stored.
+#[inline(always)]
+fn unsqueeze(x: u64, n: usize) -> u64 {
+    let gap = 8 - n as u32;
+    let x = x & 0xFFFF_FFFF_0000_0000 | (x >> (4 * gap)) & 0x0000_0000_FFFF_FFFF;
+    let x = x & 0xFFFF_0000_FFFF_0000 | (x >> (2 * gap)) & 0x0000_FFFF_0000_FFFF;
+    x & 0xFF00_FF00_FF00_FF00 | (x >> gap) & 0x00FF_00FF_00FF_00FF
 }
 
 /// MSB-first bit stream into a byte slice, flushed seven bytes at a time.

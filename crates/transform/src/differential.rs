@@ -120,6 +120,18 @@ fn battery_covers_the_26_valid_geometries() {
 }
 
 #[test]
+fn battery_covers_one_group_and_multi_group_shapes() {
+    // The bit-plane kernel squeezes whole lanes when the deltas fit one
+    // group of eight and packs plane chunks otherwise; `check` runs both
+    // directions, so every shape below is covered each way.
+    let deltas: Vec<usize> = shapes().iter().map(|c| c.words_per_line() - 1).collect();
+    let one_group = deltas.iter().filter(|&&d| d <= 8).count();
+    let multi_group = deltas.iter().filter(|&&d| d > 8).count();
+    assert_eq!((one_group, multi_group), (12, 14));
+    assert!(shapes().contains(&CachelineConfig::paper_default()));
+}
+
+#[test]
 fn every_single_bit_line_matches_the_reference() {
     let mut scratch = Vec::new();
     for c in shapes() {

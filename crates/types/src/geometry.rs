@@ -62,6 +62,10 @@ pub struct Geometry {
     rows_per_bank: u64,
     ar_rows: u64,
     capacity_bytes: u64,
+    /// `capacity_bytes / line_bytes`, fixed at construction.
+    total_lines: u64,
+    /// log2 of the lines per row, a quotient of validated powers of two.
+    line_shift: u32,
 }
 
 impl Geometry {
@@ -88,6 +92,8 @@ impl Geometry {
             rows_per_bank,
             ar_rows,
             capacity_bytes: config.dram.capacity_bytes,
+            total_lines: config.dram.capacity_bytes / config.line.line_bytes as u64,
+            line_shift: (config.dram.row_bytes / config.line.line_bytes).trailing_zeros(),
         })
     }
 
@@ -126,19 +132,21 @@ impl Geometry {
         self.rows_per_bank
     }
 
-    /// Bytes of one row stored in one chip.
+    /// Bytes of one row stored in one chip. The chip count is a
+    /// validated power of two, so this and [`Self::line_bytes_per_chip`]
+    /// are shifts.
     pub fn chip_row_bytes(&self) -> usize {
-        self.row_bytes / self.num_chips
+        self.row_bytes >> self.num_chips.trailing_zeros()
     }
 
     /// Cachelines per rank-row.
     pub fn lines_per_row(&self) -> usize {
-        self.row_bytes / self.line_bytes
+        1 << self.line_shift
     }
 
     /// Bytes of one cacheline stored in one chip.
     pub fn line_bytes_per_chip(&self) -> usize {
-        self.line_bytes / self.num_chips
+        self.line_bytes >> self.num_chips.trailing_zeros()
     }
 
     /// Rows refreshed by a single per-bank auto-refresh command (§IV-B;
@@ -162,7 +170,7 @@ impl Geometry {
 
     /// Total cachelines in the simulated memory.
     pub fn total_lines(&self) -> u64 {
-        self.capacity_bytes / self.line_bytes as u64
+        self.total_lines
     }
 
     /// Size of the coarse-grained SRAM access-bit table in bits: one bit
@@ -175,7 +183,9 @@ impl Geometry {
     ///
     /// Rows are interleaved across banks at rank-row granularity, the
     /// common open-page mapping: consecutive rows of the physical address
-    /// space land in consecutive banks.
+    /// space land in consecutive banks. The slot is a shift and a mask;
+    /// the bank count need not be a power of two, so the bank and row
+    /// cost one division.
     ///
     /// # Errors
     ///
@@ -202,9 +212,8 @@ impl Geometry {
                 capacity: self.capacity_bytes,
             });
         }
-        let lines_per_row = self.lines_per_row() as u64;
-        let global_row = line.0 / lines_per_row;
-        let slot = (line.0 % lines_per_row) as usize;
+        let global_row = line.0 >> self.line_shift;
+        let slot = (line.0 & ((1 << self.line_shift) - 1)) as usize;
         let bank = BankId((global_row % self.num_banks as u64) as usize);
         let row = RowIndex(global_row / self.num_banks as u64);
         Ok(LineLocation { bank, row, slot })
@@ -224,7 +233,7 @@ impl Geometry {
     /// ```
     pub fn line_addr(&self, loc: LineLocation) -> LineAddr {
         let global_row = loc.row.0 * self.num_banks as u64 + loc.bank.0 as u64;
-        LineAddr(global_row * self.lines_per_row() as u64 + loc.slot as u64)
+        LineAddr(global_row << self.line_shift | loc.slot as u64)
     }
 
     /// The row that `chip` refreshes at staggered refresh step `n` (§IV-C).
@@ -328,6 +337,52 @@ mod tests {
     fn locate_rejects_out_of_range() {
         let g = geom();
         assert!(g.locate(LineAddr(g.total_lines())).is_err());
+    }
+
+    #[test]
+    fn locate_round_trips_on_seeded_small_geometries() {
+        // 1-16 banks (not all powers of two), small capacities, several
+        // row and line sizes: every located line is in range, maps back
+        // to its address, and agrees with the division formula; the
+        // first line past the capacity is rejected.
+        crate::rng::cases(
+            "locate_round_trips_on_seeded_small_geometries",
+            200,
+            |rng| {
+                let mut cfg = SystemConfig::small_test();
+                cfg.dram.num_banks = 1 + rng.below(16) as usize;
+                cfg.dram.row_bytes = 512 << rng.below(4);
+                cfg.line.line_bytes = 64 << rng.below(3);
+                let rows = 8u64 << rng.below(5);
+                cfg.dram.capacity_bytes =
+                    rows * cfg.dram.num_banks as u64 * cfg.dram.row_bytes as u64;
+                let g = Geometry::new(&cfg).unwrap();
+                let lpr = (cfg.dram.row_bytes / cfg.line.line_bytes) as u64;
+                assert_eq!(g.lines_per_row() as u64, lpr);
+                assert_eq!(
+                    g.total_lines(),
+                    cfg.dram.capacity_bytes / cfg.line.line_bytes as u64
+                );
+                let probes = (0..64).map(|_| rng.below(g.total_lines()));
+                for line in probes.chain([0, g.total_lines() - 1]) {
+                    let loc = g.locate(LineAddr(line)).unwrap();
+                    let global_row = line / lpr;
+                    assert_eq!(loc.slot as u64, line % lpr, "{cfg:?} line {line}");
+                    assert_eq!(loc.bank.0 as u64, global_row % g.num_banks() as u64);
+                    assert_eq!(loc.row.0, global_row / g.num_banks() as u64);
+                    assert!(loc.row.0 < g.rows_per_bank());
+                    assert_eq!(g.line_addr(loc), LineAddr(line));
+                }
+                let past = g.total_lines();
+                assert_eq!(
+                    g.locate(LineAddr(past)),
+                    Err(Error::AddressOutOfRange {
+                        addr: past * cfg.line.line_bytes as u64,
+                        capacity: cfg.dram.capacity_bytes,
+                    })
+                );
+            },
+        );
     }
 
     #[test]

@@ -204,39 +204,64 @@ fn transform(preset: Option<&String>, row: Option<&String>) -> Result<(), Error>
     Ok(())
 }
 
-fn parse_measure_args(args: &[String]) -> Result<(Benchmark, f64, usize, TemperatureMode), Error> {
+/// Parses `<bench> [alloc%] [row_bytes] [normal|extended]`. An absent
+/// argument takes its default (100%, 4096 B rows, extended); a present
+/// one that cannot be used is an error naming it and its value.
+fn parse_measure_args(args: &[String]) -> Result<(Benchmark, f64, ExperimentConfig), Error> {
     let benchmark = match args.first() {
         Some(name) => Benchmark::by_name(name)?,
         None => Benchmark::Mcf,
     };
-    let alloc = args
-        .get(1)
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|p| p / 100.0)
-        .unwrap_or(1.0)
-        .clamp(0.0, 1.0);
-    let row_bytes = args.get(2).and_then(|v| v.parse().ok()).unwrap_or(4096);
-    let temp = match args.get(3).map(String::as_str) {
-        Some("normal") => TemperatureMode::Normal,
-        _ => TemperatureMode::Extended,
+    let alloc = match args.get(1) {
+        None => 1.0,
+        Some(v) => match v.parse::<f64>() {
+            Ok(p) if (0.0..=100.0).contains(&p) => p / 100.0,
+            _ => {
+                return Err(Error::invalid_config(format!(
+                    "alloc%={v:?} is not a number in 0-100"
+                )))
+            }
+        },
     };
-    Ok((benchmark, alloc, row_bytes, temp))
-}
-
-fn measure(args: &[String]) -> Result<(), Error> {
-    let (benchmark, alloc, row_bytes, temperature) = parse_measure_args(args)?;
+    let row_bytes = match args.get(2) {
+        None => 4096,
+        Some(v) => v
+            .parse()
+            .map_err(|_| Error::invalid_config(format!("row_bytes={v:?} is not a whole number")))?,
+    };
+    let temperature = match args.get(3).map(String::as_str) {
+        None | Some("extended") => TemperatureMode::Extended,
+        Some("normal") => TemperatureMode::Normal,
+        Some(other) => {
+            return Err(Error::invalid_config(format!(
+                "temperature={other:?} is not normal or extended"
+            )))
+        }
+    };
     let exp = ExperimentConfig {
         row_bytes,
         temperature,
         ..experiment(None)
     };
+    // The row size is the only field the arguments set that can fail.
+    exp.validate().map_err(|e| match e {
+        Error::InvalidConfig { reason } => {
+            Error::invalid_config(format!("row_bytes={row_bytes}: {reason}"))
+        }
+        other => other,
+    })?;
+    Ok((benchmark, alloc, exp))
+}
+
+fn measure(args: &[String]) -> Result<(), Error> {
+    let (benchmark, alloc, exp) = parse_measure_args(args)?;
     let e = energy::measure(benchmark, alloc, &exp)?;
     println!(
         "{} @ {:.0}% alloc, {} B rows, {:?}:",
         benchmark.name(),
         100.0 * alloc,
-        row_bytes,
-        temperature
+        exp.row_bytes,
+        exp.temperature
     );
     println!(
         "  refresh ops:  {:.3} normalized ({:.1}% reduction)",
@@ -252,7 +277,7 @@ fn measure(args: &[String]) -> Result<(), Error> {
 }
 
 fn compare(args: &[String]) -> Result<(), Error> {
-    let (benchmark, alloc, _, _) = parse_measure_args(args)?;
+    let (benchmark, alloc, _) = parse_measure_args(args)?;
     let exp = experiment(None);
     let c = priorwork::compare(benchmark, alloc, &exp)?;
     println!(

@@ -1,14 +1,14 @@
-//! The `zr` command line, end to end: `zr info` rejects a capacity it
-//! cannot use with a one-line error naming the argument and exit status
-//! 1, instead of printing the default configuration.
+//! The `zr` command line, end to end: `zr info`, `zr measure` and `zr
+//! compare` reject an argument they cannot use with a one-line error
+//! naming the argument and exit status 1, instead of running with a
+//! default in its place.
 
 use std::process::Command;
 
-/// Runs `zr info <capacity_mb>` and returns its exit code, stdout and
-/// stderr.
-fn info(capacity_mb: &str) -> (Option<i32>, String, String) {
+/// Runs `zr <args>` and returns its exit code, stdout and stderr.
+fn zr(args: &[&str]) -> (Option<i32>, String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_zr"))
-        .args(["info", capacity_mb])
+        .args(args)
         .output()
         .expect("spawn zr");
     (
@@ -18,17 +18,25 @@ fn info(capacity_mb: &str) -> (Option<i32>, String, String) {
     )
 }
 
-fn assert_rejected(capacity_mb: &str, message: &str) {
-    let (code, stdout, stderr) = info(capacity_mb);
-    assert_eq!(code, Some(1), "zr info {capacity_mb}: stderr {stderr}");
-    assert!(
-        stdout.is_empty(),
-        "zr info {capacity_mb} printed a configuration:\n{stdout}"
-    );
+/// Runs `zr info <capacity_mb>`.
+fn info(capacity_mb: &str) -> (Option<i32>, String, String) {
+    zr(&["info", capacity_mb])
+}
+
+/// `zr <args>` exits 1 with `message` on stderr and prints nothing on
+/// stdout.
+fn assert_args_rejected(args: &[&str], message: &str) {
+    let (code, stdout, stderr) = zr(args);
+    assert_eq!(code, Some(1), "zr {args:?}: stderr {stderr}");
+    assert!(stdout.is_empty(), "zr {args:?} printed:\n{stdout}");
     assert!(
         stderr.starts_with("error: ") && stderr.contains(message),
-        "zr info {capacity_mb}: stderr {stderr:?} does not say {message:?}"
+        "zr {args:?}: stderr {stderr:?} does not say {message:?}"
     );
+}
+
+fn assert_rejected(capacity_mb: &str, message: &str) {
+    assert_args_rejected(&["info", capacity_mb], message);
 }
 
 #[test]
@@ -52,4 +60,60 @@ fn valid_capacity_is_reported() {
     let (code, stdout, stderr) = info("64");
     assert_eq!(code, Some(0), "stderr {stderr}");
     assert!(stdout.contains("capacity:        64 MiB"), "{stdout}");
+}
+
+#[test]
+fn measure_rejects_each_bad_argument_by_name() {
+    assert_args_rejected(
+        &["measure", "mcf", "abc", "4096", "warm"],
+        "alloc%=\"abc\" is not a number in 0-100",
+    );
+    for alloc in ["-1", "100.5", "NaN", "inf"] {
+        let message = format!("alloc%={alloc:?} is not a number in 0-100");
+        assert_args_rejected(&["measure", "mcf", alloc], &message);
+    }
+    assert_args_rejected(
+        &["measure", "mcf", "50", "4k"],
+        "row_bytes=\"4k\" is not a whole number",
+    );
+    // A parseable row size still has to make a valid experiment.
+    assert_args_rejected(
+        &["measure", "mcf", "50", "1000"],
+        "row_bytes=1000: row_bytes must be a power of two",
+    );
+    assert_args_rejected(
+        &["measure", "mcf", "50", "32"],
+        "row_bytes=32: cacheline larger than a row",
+    );
+    assert_args_rejected(
+        &["measure", "mcf", "50", "4096", "warm"],
+        "temperature=\"warm\" is not normal or extended",
+    );
+}
+
+#[test]
+fn compare_rejects_a_bad_allocation_by_name() {
+    assert_args_rejected(
+        &["compare", "mcf", "150"],
+        "alloc%=\"150\" is not a number in 0-100",
+    );
+}
+
+#[test]
+fn valid_measure_call_is_reported() {
+    for (args, header) in [
+        (
+            &["measure", "mcf", "1", "4096", "normal"][..],
+            "mcf @ 1% alloc, 4096 B rows, Normal:",
+        ),
+        (
+            &["measure", "mcf", "1", "2048", "extended"][..],
+            "mcf @ 1% alloc, 2048 B rows, Extended:",
+        ),
+    ] {
+        let (code, stdout, stderr) = zr(args);
+        assert_eq!(code, Some(0), "zr {args:?}: stderr {stderr}");
+        assert!(stdout.starts_with(header), "zr {args:?}:\n{stdout}");
+        assert!(stdout.contains("  refresh ops:  "), "{stdout}");
+    }
 }
