@@ -40,9 +40,10 @@ fn policies() -> [RefreshPolicy; 3] {
 }
 
 /// The write-content patterns the sweep rotates through. Zeros/ones land
-/// exactly on the true/anti discharged byte patterns, so they exercise
-/// the charged-byte zero-crossing bookkeeping; the sparse pattern flips
-/// single bytes back and forth across the threshold.
+/// exactly on the true/anti discharged byte patterns, so they overwrite
+/// charged segments with discharged ones and exercise the rescan that
+/// decides whether a chip-row's charged bit falls; the sparse pattern
+/// flips single bytes back and forth across the threshold.
 #[derive(Clone, Copy, Debug)]
 enum WritePattern {
     Random,

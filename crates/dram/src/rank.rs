@@ -15,13 +15,14 @@
 //! # The packed charge bitplane
 //!
 //! Every bank additionally maintains a word-packed *charged bitmap* with
-//! one bit per chip-row (bit set = at least one charged cell). The bitmap
-//! is rebuilt incrementally on every write from per-chip counts of
-//! charged bytes (bytes that differ from the discharged pattern). A write
-//! updates a chip's count a word at a time: the old and the new bytes of
-//! its segment are XORed with the pattern repeated across a `u64`, and a
-//! mask-and-multiply counts the non-zero bytes of each result. Only a
-//! count's zero-crossings flip the chip's bit, so the §IV-B wired-OR check
+//! one bit per chip-row (bit set = at least one charged cell, i.e. a byte
+//! that differs from the discharged pattern). A write keeps it exact
+//! without counting bytes: a chip's bit is set when its new segment holds
+//! a charged byte, which is tested a word at a time by XORing the segment
+//! with the pattern repeated across a `u64`. Only when a charged segment
+//! is overwritten by a discharged one can the bit fall, and only then are
+//! that chip's segments of the row rescanned, stopping at the first
+//! charged one. So the §IV-B wired-OR check
 //! ([`DramRank::chip_row_is_discharged`]) is a single bit probe,
 //! `BankBits::charged` answers 64 rows of one chip at once for the
 //! refresh engine, and [`DramRank::count_discharged_chip_rows_in_bank`]
@@ -31,10 +32,9 @@
 //! The original per-cell byte-scan path is retained behind
 //! `#[cfg(any(test, feature = "scalar-oracle"))]` as the differential
 //! reference oracle ([`DramRank::set_force_scalar`]); debug builds with
-//! the oracle compiled in assert the two paths agree on every query. The
-//! byte-at-a-time count loop the word-wide one replaced is kept in the
-//! tests, where a seeded battery checks every count and charged word
-//! against it for segments of 1 to 128 bytes.
+//! the oracle compiled in assert the two paths agree on every query. A
+//! seeded battery in the tests checks every packed bit against it after
+//! each write, cleanse and forced charge, for segments of 1 to 128 bytes.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,12 +77,8 @@ type RowMap = HashMap<u64, RowStore, BuildHasherDefault<RowKeyHasher>>;
 /// Explicit storage for one written rank-row.
 #[derive(Debug, Clone)]
 struct RowStore {
-    /// The whole rank-row image, slot-major (see the module docs),
-    /// followed by a tail of `num_chips` little-endian `u32` charged-byte
-    /// counts (bytes differing from the discharged pattern, per chip).
-    /// Folding the counts into the image buffer keeps a resident row at
-    /// exactly one allocation. Zero-crossings of the counts are what flip
-    /// the bank's packed charged bits.
+    /// The whole rank-row image, slot-major (see the module docs), in
+    /// exactly one allocation.
     ///
     /// The buffer is shared copy-on-write: cloning a rank copies row
     /// pointers, and a writer goes through [`Arc::make_mut`], which
@@ -114,53 +110,27 @@ impl RowStore {
         chip: usize,
     ) -> impl Iterator<Item = &'a [u8]> + 'a {
         let seg = geom.line_bytes_per_chip();
-        self.bytes[..geom.row_bytes()]
+        self.bytes
             .chunks_exact(geom.line_bytes())
             .map(move |line| &line[chip * seg..(chip + 1) * seg])
     }
 }
 
-/// Charged-byte count of chip `c` in a row store's count tail.
-fn charged_count(tail: &[u8], c: usize) -> u32 {
-    u32::from_le_bytes(tail[c * 4..c * 4 + 4].try_into().expect("count width"))
-}
-
-fn set_charged_count(tail: &mut [u8], c: usize, value: u32) {
-    tail[c * 4..c * 4 + 4].copy_from_slice(&value.to_le_bytes());
-}
-
-/// Bytes of `segment` that differ from the discharged byte `pattern`,
-/// eight at a time: XOR with the pattern in every byte leaves exactly the
-/// charged bytes non-zero. A short last chunk (segments under eight
-/// bytes) is padded with the pattern, which the XOR cancels.
+/// Whether `segment` holds a charged byte, one that differs from the
+/// discharged byte `pattern`: eight bytes at a time, XOR with the pattern
+/// in every byte leaves exactly the charged bytes non-zero.
 #[inline(always)]
-fn charged_bytes(segment: &[u8], pattern: u8) -> u32 {
+fn holds_charge(segment: &[u8], pattern: u8) -> bool {
     let repeated = u64::from_le_bytes([pattern; 8]);
-    segment
-        .chunks(8)
-        .map(|chunk| {
-            let word = match <[u8; 8]>::try_from(chunk) {
-                Ok(word) => u64::from_le_bytes(word),
-                // Shifting the bytes in from the top keeps pattern bytes
-                // above them.
-                Err(_) => (chunk.iter().rev()).fold(repeated, |w, &b| w << 8 | u64::from(b)),
-            };
-            nonzero_bytes(word ^ repeated)
-        })
-        .sum()
-}
-
-/// Non-zero bytes of `x` by mask-and-multiply: bit 7 of a byte of
-/// `((x & 0x7F…) + 0x7F…) | x` is set iff the byte is non-zero (the add
-/// carries into bit 7, and never out of the byte, exactly when the low
-/// seven bits are non-zero), and one multiply sums the eight flags into
-/// the top byte. Baseline x86-64 has no population-count instruction
-/// (see `FieldTally` in the refresh engine).
-#[inline(always)]
-fn nonzero_bytes(x: u64) -> u32 {
-    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
-    let flags = ((((x & LOW7) + LOW7) | x) >> 7) & 0x0101_0101_0101_0101;
-    (flags.wrapping_mul(0x0101_0101_0101_0101) >> 56) as u32
+    let mut words = segment.chunks_exact(8);
+    let mut diff = 0;
+    for word in &mut words {
+        diff |= u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ repeated;
+    }
+    for &b in words.remainder() {
+        diff |= u64::from(b ^ pattern);
+    }
+    diff != 0
 }
 
 /// One bank: its written rows plus the packed charged bitmap over all
@@ -194,8 +164,8 @@ pub struct DramRank {
     /// Packed-bitmap stride: words per chip region in each bank's
     /// `charged` vector (and the length of its `spared` bitmap).
     words_per_chip: usize,
-    /// The store of a never-written row of each cell type (true, anti):
-    /// the discharged pattern and zero charged-byte counts.
+    /// The image of a never-written row of each cell type (true, anti):
+    /// the discharged pattern.
     blank: [Arc<[u8]>; 2],
     /// Differential-oracle toggle: route all discharge queries through
     /// the retained byte-scan path.
@@ -220,11 +190,8 @@ impl DramRank {
                 spared: vec![0u64; words_per_chip],
             })
             .collect();
-        let blank = [CellType::True, CellType::Anti].map(|cell| {
-            let image = iter::repeat_n(cell.discharged_byte(), geom.row_bytes());
-            let counts = iter::repeat_n(0u8, geom.num_chips() * 4);
-            image.chain(counts).collect()
-        });
+        let blank = [CellType::True, CellType::Anti]
+            .map(|cell| iter::repeat_n(cell.discharged_byte(), geom.row_bytes()).collect());
         Ok(DramRank {
             geom,
             dram: config.dram.clone(),
@@ -332,7 +299,6 @@ impl DramRank {
         }
         let seg = self.geom.line_bytes_per_chip();
         let line_bytes = self.geom.line_bytes();
-        let row_bytes = self.geom.row_bytes();
         let num_chips = self.geom.num_chips();
         let cell = self.cell_type(row);
         let pattern = cell.discharged_byte();
@@ -342,24 +308,32 @@ impl DramRank {
         let BankStore { rows, charged, .. } = &mut self.banks[bank.0];
         let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
         store.written |= u128::MAX >> (128 - num_chips);
-        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
+        let image = Arc::make_mut(&mut store.bytes);
         let dst_line = &mut image[slot * line_bytes..(slot + 1) * line_bytes];
+        // Chips whose charged segment is overwritten by a discharged one:
+        // their bit stays set only if another of their segments holds
+        // charge, which is known once the line is stored.
+        let mut rescan = 0u128;
         let pairs = dst_line.chunks_exact(seg).zip(chip_major.chunks_exact(seg));
         for (c, (old, new)) in pairs.enumerate() {
-            let before = charged_count(tail, c);
-            // The overwritten bytes are part of `before`, so this never
-            // goes below zero.
-            let count = before - charged_bytes(old, pattern) + charged_bytes(new, pattern);
-            set_charged_count(tail, c, count);
-            // Flip the packed bit only on zero-crossings of the per-chip
-            // charged-byte count.
-            if before == 0 && count > 0 {
-                charged[c * words_per_chip + word_off] |= mask;
-            } else if before > 0 && count == 0 {
-                charged[c * words_per_chip + word_off] &= !mask;
+            let word = &mut charged[c * words_per_chip + word_off];
+            if holds_charge(new, pattern) {
+                *word |= mask;
+            } else if *word & mask != 0 && holds_charge(old, pattern) {
+                rescan |= 1 << c;
             }
         }
         dst_line.copy_from_slice(chip_major);
+        while rescan != 0 {
+            let c = rescan.trailing_zeros() as usize;
+            rescan &= rescan - 1;
+            let mut segments = image
+                .chunks_exact(line_bytes)
+                .map(|line| &line[c * seg..][..seg]);
+            if !segments.any(|segment| holds_charge(segment, pattern)) {
+                charged[c * words_per_chip + word_off] &= !mask;
+            }
+        }
         Ok(())
     }
 
@@ -507,17 +481,14 @@ impl DramRank {
         let pattern = cell.discharged_byte();
         let seg = self.geom.line_bytes_per_chip();
         let line_bytes = self.geom.line_bytes();
-        let row_bytes = self.geom.row_bytes();
         let (word, mask) = self.charged_locus(chip.0, row.0);
         let blank = &self.blank[usize::from(cell == CellType::Anti)];
         let BankStore { rows, charged, .. } = &mut self.banks[bank.0];
         let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
         store.written |= 1u128 << chip.0;
-        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
-        for line in image.chunks_exact_mut(line_bytes) {
+        for line in Arc::make_mut(&mut store.bytes).chunks_exact_mut(line_bytes) {
             line[chip.0 * seg..(chip.0 + 1) * seg].fill(!pattern);
         }
-        set_charged_count(tail, chip.0, self.geom.chip_row_bytes() as u32);
         charged[word] |= mask;
         Ok(())
     }
@@ -1003,43 +974,7 @@ mod tests {
         );
     }
 
-    // --- word-wide charged counts against the byte loop -----------------
-
-    /// The byte loop [`DramRank::write_encoded_line`] replaced: one
-    /// compare per byte, kept as the reference its word-wide counts are
-    /// checked against.
-    fn write_bytewise(r: &mut DramRank, bank: BankId, row: RowIndex, slot: usize, line: &[u8]) {
-        r.check_location(bank, row, slot).unwrap();
-        let seg = r.geom.line_bytes_per_chip();
-        let line_bytes = r.geom.line_bytes();
-        let row_bytes = r.geom.row_bytes();
-        let num_chips = r.geom.num_chips();
-        let cell = r.cell_type(row);
-        let pattern = cell.discharged_byte();
-        let (word_off, mask) = ((row.0 / 64) as usize, 1u64 << (row.0 % 64));
-        let words_per_chip = r.words_per_chip;
-        let blank = &r.blank[usize::from(cell == CellType::Anti)];
-        let BankStore { rows, charged, .. } = &mut r.banks[bank.0];
-        let store = rows.entry(row.0).or_insert_with(|| RowStore::fresh(blank));
-        store.written |= u128::MAX >> (128 - num_chips);
-        let (image, tail) = Arc::make_mut(&mut store.bytes).split_at_mut(row_bytes);
-        let dst_line = &mut image[slot * line_bytes..(slot + 1) * line_bytes];
-        let pairs = dst_line.chunks_exact_mut(seg).zip(line.chunks_exact(seg));
-        for (c, (dst, segment)) in pairs.enumerate() {
-            let before = charged_count(tail, c);
-            let mut count = i64::from(before);
-            for (d, &s) in dst.iter_mut().zip(segment.iter()) {
-                count += i64::from(s != pattern) - i64::from(*d != pattern);
-                *d = s;
-            }
-            set_charged_count(tail, c, count as u32);
-            if before == 0 && count > 0 {
-                charged[c * words_per_chip + word_off] |= mask;
-            } else if before > 0 && count == 0 {
-                charged[c * words_per_chip + word_off] &= !mask;
-            }
-        }
-    }
+    // --- packed charged bits against the byte scan ----------------------
 
     /// A rank of `num_chips` chips on `line_bytes` lines (8-byte words),
     /// 2 banks of 16 rows of 512 bytes, true and anti cells alternating
@@ -1054,23 +989,35 @@ mod tests {
         DramRank::new(&cfg).unwrap()
     }
 
-    /// Every row store's bytes (image and count tail) and every packed
-    /// charged and spared word of two ranks are equal.
-    fn assert_same_state(got: &DramRank, want: &DramRank, what: &str) {
-        for (b, (g, w)) in got.banks.iter().zip(&want.banks).enumerate() {
-            assert_eq!(g.charged, w.charged, "bank {b} charged words, {what}");
-            assert_eq!(g.spared, w.spared, "bank {b} spared words, {what}");
-            assert_eq!(g.rows.len(), w.rows.len(), "bank {b} resident rows, {what}");
-            for (row, ws) in &w.rows {
-                let gs = &g.rows[row];
-                assert_eq!(gs.written, ws.written, "bank {b} row {row} written, {what}");
-                assert_eq!(gs.bytes, ws.bytes, "bank {b} row {row} bytes, {what}");
+    /// Every packed charged bit of `r` is what a byte scan of its
+    /// chip-row says, no padding bit is set, and exactly the rows in
+    /// `spared` are spared.
+    fn assert_bits_match_the_bytes(r: &DramRank, spared: &[(usize, u64)], what: &str) {
+        let g = r.geometry();
+        for (b, store) in r.banks.iter().enumerate() {
+            let mut charged_rows = 0;
+            for row in 0..g.rows_per_bank() {
+                for chip in 0..g.num_chips() {
+                    let (word, mask) = r.charged_locus(chip, row);
+                    let packed = store.charged[word] & mask != 0;
+                    let scan =
+                        !r.scalar_chip_row_is_discharged(ChipId(chip), BankId(b), RowIndex(row));
+                    assert_eq!(packed, scan, "bank {b} row {row} chip {chip}, {what}");
+                    charged_rows += u32::from(scan);
+                }
+                assert_eq!(
+                    r.is_spared(BankId(b), RowIndex(row)),
+                    spared.contains(&(b, row)),
+                    "bank {b} row {row} spared, {what}"
+                );
             }
+            let set: u32 = store.charged.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(set, charged_rows, "bank {b} padding bits, {what}");
         }
     }
 
     #[test]
-    fn word_wide_counts_match_the_byte_loop() {
+    fn packed_bits_match_the_byte_scan_after_every_operation() {
         // (line bytes, chips): segments of 32, 16, 8, 4, 2 and 1 bytes
         // on 64-byte lines, then 128, 64 and 128 bytes on wider lines.
         let shapes = [
@@ -1084,33 +1031,35 @@ mod tests {
             (256, 4),
             (256, 2),
         ];
+        let spared = [(0, 1), (1, 2), (1, 7)];
         let mut rng = zr_types::rng::SplitMix64::new(0x0C0D_EC0D_E5E6);
         for (line_bytes, chips) in shapes {
-            let mut got = seg_rank(line_bytes, chips);
-            let g = got.geometry().clone();
+            let mut r = seg_rank(line_bytes, chips);
+            let g = r.geometry().clone();
             assert_eq!(g.line_bytes_per_chip(), line_bytes / chips);
-            for (bank, row) in [(0, 1), (1, 2), (1, 7)] {
-                got.add_spared_row(BankId(bank), RowIndex(row));
+            for (bank, row) in spared {
+                r.add_spared_row(BankId(bank), RowIndex(row));
             }
-            let mut want = got.clone();
             let (mut charges, mut discharges) = (0u32, 0u32);
             let mut line = vec![0u8; line_bytes];
             for step in 0..1500 {
                 let bank = BankId(rng.below(2) as usize);
-                // Few rows and slots, so counts often return to zero.
+                // Few rows and slots, so chip-rows often return to
+                // discharged.
                 let row = RowIndex(rng.below(8));
                 let slot = [0, g.lines_per_row() - 1][rng.below(2) as usize];
-                let pattern = got.cell_type(row).discharged_byte();
+                let pattern = r.cell_type(row).discharged_byte();
+                let what = format!("{line_bytes} B lines, {chips} chips, step {step}");
                 match rng.below(16) {
                     0 => {
-                        got.cleanse_row(bank, row).unwrap();
-                        want.cleanse_row(bank, row).unwrap();
+                        r.cleanse_row(bank, row).unwrap();
+                        assert_bits_match_the_bytes(&r, &spared, &what);
                         continue;
                     }
                     1 => {
                         let chip = ChipId(rng.below(chips as u64) as usize);
-                        got.force_charge_chip_row(chip, bank, row).unwrap();
-                        want.force_charge_chip_row(chip, bank, row).unwrap();
+                        r.force_charge_chip_row(chip, bank, row).unwrap();
+                        assert_bits_match_the_bytes(&r, &spared, &what);
                         continue;
                     }
                     2..=5 => line.fill(pattern),
@@ -1118,7 +1067,7 @@ mod tests {
                     7 => rng.fill_bytes(&mut line),
                     _ => {
                         // Each segment either discharged or holding a
-                        // few charged bytes, possibly only in its tail.
+                        // few charged bytes anywhere in it.
                         line.fill(pattern);
                         for segment in line.chunks_exact_mut(g.line_bytes_per_chip()) {
                             if rng.below(2) == 0 {
@@ -1130,15 +1079,18 @@ mod tests {
                         }
                     }
                 }
-                let before = want.banks[bank.0].charged.clone();
-                got.write_encoded_line(bank, row, slot, &line).unwrap();
-                write_bytewise(&mut want, bank, row, slot, &line);
-                for (old, new) in before.iter().zip(&want.banks[bank.0].charged) {
+                let before = r.banks[bank.0].charged.clone();
+                r.write_encoded_line(bank, row, slot, &line).unwrap();
+                for (old, new) in before.iter().zip(&r.banks[bank.0].charged) {
                     charges += (new & !old).count_ones();
                     discharges += (old & !new).count_ones();
                 }
-                let what = format!("{line_bytes} B lines, {chips} chips, step {step}");
-                assert_same_state(&got, &want, &what);
+                assert_eq!(
+                    r.read_encoded_line(bank, row, slot).unwrap(),
+                    line,
+                    "{what}"
+                );
+                assert_bits_match_the_bytes(&r, &spared, &what);
             }
             assert!(
                 charges > 20 && discharges > 20,

@@ -3,25 +3,31 @@
 use std::sync::Arc;
 
 use zr_dram::{DramRank, RefreshEngine, RefreshPolicy, WindowStats};
-use zr_telemetry::{Counter, Telemetry};
+use zr_telemetry::{LocalCounter, Telemetry};
 use zr_trace::{RecordKind, TraceRecord, TraceRecorder, SRC_MEMCTRL};
 use zr_transform::ValueTransformer;
 use zr_types::geometry::{LineAddr, LineLocation};
 use zr_types::{Error, Geometry, Result, SystemConfig};
 
-/// Pre-resolved `memctrl.*` metric handles.
+/// Pre-resolved `memctrl.*` metric handles: per-line tallies, published
+/// at every refresh window and on drop.
 #[derive(Debug, Clone)]
 struct ControllerMetrics {
-    reads: Counter,
-    writes: Counter,
+    reads: LocalCounter,
+    writes: LocalCounter,
 }
 
 impl ControllerMetrics {
     fn new(telemetry: &Telemetry) -> Self {
         ControllerMetrics {
-            reads: telemetry.counter("memctrl.reads"),
-            writes: telemetry.counter("memctrl.writes"),
+            reads: LocalCounter::new(telemetry.counter("memctrl.reads")),
+            writes: LocalCounter::new(telemetry.counter("memctrl.writes")),
         }
+    }
+
+    fn flush(&self) {
+        self.reads.flush();
+        self.writes.flush();
     }
 }
 
@@ -88,8 +94,9 @@ impl MemoryController {
     /// A copy of this controller whose refresh engine records as a
     /// separate engine ([`RefreshEngine::fork`]). The rank's rows are
     /// shared copy-on-write, so the copy costs row pointers, and each
-    /// side pays for a row only when it first writes it. Valid only
-    /// before the first refresh window.
+    /// side pays for a row only when it first writes it. The copy's
+    /// per-line counters start at zero, so each side publishes only the
+    /// lines it moved itself. Valid only before the first refresh window.
     pub fn fork(&self) -> MemoryController {
         MemoryController {
             engine: self.engine.fork(),
@@ -245,8 +252,12 @@ impl MemoryController {
         Ok(())
     }
 
-    /// Runs one refresh window (tRET) over the rank.
+    /// Runs one refresh window (tRET) over the rank. The per-line
+    /// `memctrl.*` and `transform.*` counters are published first, so
+    /// they are current whenever a window has just run.
     pub fn run_refresh_window(&mut self) -> WindowStats {
+        self.metrics.flush();
+        self.transformer.publish_counters();
         self.engine.run_window(&mut self.rank)
     }
 
@@ -415,6 +426,72 @@ mod tests {
         mc.write_line(LineAddr(5), &line_of(3)).unwrap();
         mc.run_refresh_window();
         assert_eq!(mc.read_line(LineAddr(5)).unwrap(), line_of(3));
+    }
+
+    /// A controller whose metrics publish to a private telemetry
+    /// instance.
+    fn observed_mc() -> (Arc<Telemetry>, MemoryController) {
+        let telemetry = Arc::new(Telemetry::new());
+        let _current = Telemetry::push_current(Arc::clone(&telemetry));
+        (telemetry, mc(RefreshPolicy::ChargeAware))
+    }
+
+    #[test]
+    fn each_side_of_a_fork_publishes_its_own_lines_once() {
+        let (telemetry, mut parent) = observed_mc();
+        for a in 0..100u64 {
+            parent.write_line(LineAddr(a), &line_of(a as u8)).unwrap();
+        }
+        let populated = parent.stats().writes;
+        let mut fork = parent.fork();
+        for a in 0..30u64 {
+            fork.write_line(LineAddr(a), &line_of(7)).unwrap();
+            fork.read_line(LineAddr(a + 50)).unwrap();
+        }
+        for a in 0..20u64 {
+            parent.write_line(LineAddr(a + 200), &line_of(9)).unwrap();
+        }
+        parent.read_line(LineAddr(3)).unwrap();
+        let (parent_stats, fork_stats) = (parent.stats(), fork.stats());
+        drop(fork);
+        drop(parent);
+        // The fork's stats inherit the populated lines, which only the
+        // parent publishes.
+        let writes = parent_stats.writes + fork_stats.writes - populated;
+        let reads = parent_stats.reads + fork_stats.reads;
+        assert_eq!((writes, reads), (150, 31));
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("memctrl.writes"), writes);
+        assert_eq!(snap.counter("transform.encode.calls"), writes);
+        assert_eq!(snap.counter("memctrl.reads"), reads);
+        assert_eq!(snap.counter("transform.decode.calls"), reads);
+    }
+
+    #[test]
+    fn counters_are_current_right_after_a_refresh_window() {
+        let (telemetry, mut mc) = observed_mc();
+        let counters = || {
+            let snap = telemetry.snapshot();
+            [
+                "memctrl.writes",
+                "memctrl.reads",
+                "transform.encode.calls",
+                "transform.encode.stage_rotation",
+                "transform.decode.calls",
+            ]
+            .map(|name| snap.counter(name))
+        };
+        for a in 0..40u64 {
+            mc.write_line(LineAddr(a), &line_of(a as u8 + 1)).unwrap();
+        }
+        mc.read_line(LineAddr(0)).unwrap();
+        mc.run_refresh_window();
+        assert_eq!(counters(), [40, 1, 40, 40, 1]);
+        // Between windows a live controller's counters lag.
+        mc.write_line(LineAddr(40), &line_of(1)).unwrap();
+        assert_eq!(counters(), [40, 1, 40, 40, 1]);
+        mc.run_refresh_window();
+        assert_eq!(counters(), [41, 1, 41, 41, 1]);
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn a_row_store_costs_one_allocation_and_copies_once_when_shared() {
     rank.write_encoded_line(BankId(0), RowIndex(0), 0, &line)
         .unwrap();
 
-    // A new resident row: its image and charged-byte counts in one buffer.
+    // A new resident row: its whole image in one buffer.
     let scope = AllocScope::begin();
     rank.write_encoded_line(BankId(0), RowIndex(1), 0, &line)
         .unwrap();

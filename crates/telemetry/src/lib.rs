@@ -18,7 +18,9 @@
 //! to `<dir>/events.jsonl`; [`Telemetry::snapshot`] serializes every
 //! registered metric for the bench figure binaries. When inactive,
 //! instrumented hot paths pay a single relaxed atomic load per
-//! would-be span/event plus plain relaxed counter increments.
+//! would-be span/event plus relaxed counter increments; per-line
+//! counters with one owner are [`LocalCounter`] tallies, which touch no
+//! atomic until their owner publishes them.
 //!
 //! Components default to [`Telemetry::current`] — the thread's
 //! installed override if any (see [`Telemetry::push_current`]),
@@ -45,8 +47,8 @@ mod span;
 
 pub use event::{Event, EventSink, SampleConfig};
 pub use registry::{
-    duration_ns_bounds, fraction_bounds, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
-    Snapshot,
+    duration_ns_bounds, fraction_bounds, Counter, Gauge, Histogram, HistogramSnapshot,
+    LocalCounter, Registry, Snapshot,
 };
 pub use span::{set_span_observer, ScopeGuard, Span, SpanObserver};
 

@@ -5,8 +5,11 @@
 //! (e.g. `dram.refresh.rows_skipped`). Handles ([`Counter`], [`Gauge`],
 //! [`Histogram`]) are cheap `Arc` clones of the registered metric:
 //! components look their metrics up once at construction time and update
-//! them lock-free on the hot path.
+//! them lock-free on the hot path. A per-line counter with a single
+//! owner wraps its handle in a [`LocalCounter`], which tallies without
+//! atomics and publishes in batches.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,6 +42,54 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A [`Counter`] for one owner's hot path: [`LocalCounter::inc`] is a
+/// plain add to a private tally, and [`LocalCounter::flush`] adds the
+/// tally to the shared counter in one atomic operation. Dropping the
+/// handle flushes it. A clone shares the counter but starts with an
+/// empty tally, so every increment is published exactly once, by the
+/// handle that made it. Until then the shared counter lags behind.
+#[derive(Debug)]
+pub struct LocalCounter {
+    counter: Counter,
+    pending: Cell<u64>,
+}
+
+impl LocalCounter {
+    /// An empty tally publishing to `counter`.
+    pub fn new(counter: Counter) -> Self {
+        LocalCounter {
+            counter,
+            pending: Cell::new(0),
+        }
+    }
+
+    /// Adds one to the tally.
+    #[inline]
+    pub fn inc(&self) {
+        self.pending.set(self.pending.get() + 1);
+    }
+
+    /// Adds the tally to the shared counter and empties it.
+    pub fn flush(&self) {
+        let n = self.pending.take();
+        if n > 0 {
+            self.counter.add(n);
+        }
+    }
+}
+
+impl Clone for LocalCounter {
+    fn clone(&self) -> Self {
+        LocalCounter::new(self.counter.clone())
+    }
+}
+
+impl Drop for LocalCounter {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -488,6 +539,33 @@ mod tests {
         let g = reg.gauge("a.g");
         g.set(2.5);
         assert_eq!(reg.gauge("a.g").get(), 2.5);
+    }
+
+    #[test]
+    fn local_counter_publishes_each_increment_once() {
+        let reg = Registry::new();
+        let local = LocalCounter::new(reg.counter("lines"));
+        for _ in 0..3 {
+            local.inc();
+        }
+        assert_eq!(reg.counter("lines").get(), 0, "tallies until flushed");
+        // A clone starts empty: dropping it publishes nothing.
+        let clone = local.clone();
+        drop(clone);
+        assert_eq!(reg.counter("lines").get(), 0);
+        local.flush();
+        assert_eq!(reg.counter("lines").get(), 3);
+        local.flush();
+        assert_eq!(reg.counter("lines").get(), 3, "a flush empties the tally");
+        // Both sides of a clone publish what they counted, on drop.
+        let clone = local.clone();
+        local.inc();
+        clone.inc();
+        clone.inc();
+        drop(clone);
+        assert_eq!(reg.counter("lines").get(), 5);
+        drop(local);
+        assert_eq!(reg.counter("lines").get(), 6);
     }
 
     #[test]

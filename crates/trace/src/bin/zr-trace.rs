@@ -15,12 +15,12 @@
 //! would have returned.
 
 use std::error::Error;
-use std::io::{self, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use zr_trace::{
-    diff_traces, filter_records, read_trace, replay, summarize, RecordFilter, RecordKind,
+    diff_traces, filter_records, read_trace, replay, summarize, RecordFilter, RecordKind, Stdout,
     TraceRecord, FLAG_TRUSTED,
 };
 
@@ -52,46 +52,6 @@ fn main() -> ExitCode {
             eprintln!("zr-trace: {msg}");
             ExitCode::from(2)
         }
-    }
-}
-
-/// Standard output, locked once, that tolerates a reader going away: once
-/// the pipe is closed, `closed` is set and the rest of the report is
-/// discarded instead of panicking (`println!`) or failing the command.
-/// Report loops check `closed` to stop early.
-struct Stdout {
-    lock: io::StdoutLock<'static>,
-    closed: bool,
-}
-
-impl Stdout {
-    fn new() -> Self {
-        Stdout {
-            lock: io::stdout().lock(),
-            closed: false,
-        }
-    }
-}
-
-impl Write for Stdout {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if !self.closed {
-            match self.lock.write(buf) {
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
-                r => return r,
-            }
-        }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        if !self.closed {
-            match self.lock.flush() {
-                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
-                r => return r,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -155,7 +115,7 @@ fn cmd_inspect(args: &[String], out: &mut Stdout) -> CmdResult {
     if dump || filter.is_some() {
         let hits = filter_records(&records, &filter);
         for (i, rec) in &hits {
-            if out.closed {
+            if out.is_closed() {
                 break;
             }
             writeln!(out, "{}", format_record(*i, rec))?;
@@ -260,7 +220,7 @@ fn cmd_replay(args: &[String], out: &mut Stdout) -> CmdResult {
     )?;
     if !report.is_clean() {
         for d in &report.divergences {
-            if out.closed {
+            if out.is_closed() {
                 break;
             }
             writeln!(out, "DIVERGENCE {d}")?;
@@ -302,7 +262,7 @@ fn cmd_diff(args: &[String], out: &mut Stdout) -> CmdResult {
         return Ok(ExitCode::SUCCESS);
     }
     for entry in &diff.entries {
-        if out.closed {
+        if out.is_closed() {
             break;
         }
         writeln!(out, "at command #{}:", entry.position)?;

@@ -33,7 +33,8 @@
 //! The `zr-trace` binary wraps this crate: `inspect` (summary and
 //! filtered dumps), `replay` (divergence check), `diff` (align two
 //! traces), `export --chrome` (Perfetto / `chrome://tracing` JSON).
-//! See `docs/TRACING.md`.
+//! See `docs/TRACING.md`. Its reports, and `zr-lens`'s, print through
+//! [`Stdout`], which stops quietly when the reader closes the pipe.
 
 #![warn(missing_docs)]
 
@@ -43,6 +44,7 @@ mod reader;
 mod record;
 mod recorder;
 mod replay;
+mod stdout;
 
 pub use analyze::{
     diff_traces, filter_records, summarize, DiffEntry, RecordFilter, TraceDiff, TraceSummary,
@@ -60,3 +62,4 @@ pub use recorder::{
     env_trace_path, CurrentTraceGuard, TraceRecorder, DEFAULT_FILE_NAME, ENV_TRACE, ENV_TRACE_RING,
 };
 pub use replay::{replay, Divergence, ReplayReport};
+pub use stdout::Stdout;

@@ -1,0 +1,58 @@
+//! Standard output for command-line reports that a reader may stop
+//! reading, as in `zr-trace diff a.zrt b.zrt | head`.
+
+use std::io::{self, Write};
+
+/// Standard output, locked once, that tolerates a reader going away: once
+/// the pipe is closed, the rest of the report is discarded instead of
+/// panicking (`println!`) or failing the command, so the command keeps
+/// its own exit status. Report loops check [`Stdout::is_closed`] to stop
+/// early.
+#[derive(Debug)]
+pub struct Stdout {
+    lock: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    /// Locks the process's standard output.
+    pub fn new() -> Self {
+        Stdout {
+            lock: io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Whether the reader has gone away.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+}
+
+impl Default for Stdout {
+    fn default() -> Self {
+        Stdout::new()
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match self.lock.write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                r => return r,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match self.lock.flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                r => return r,
+            }
+        }
+        Ok(())
+    }
+}

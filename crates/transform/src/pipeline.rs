@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crate::{bitplane, ebdi, rotation};
-use zr_telemetry::{Counter, Event, Telemetry};
+use zr_telemetry::{Event, LocalCounter, Telemetry};
 use zr_trace::{
     RecordKind, TraceRecord, TraceRecorder, FLAG_BIT_PLANE, FLAG_DECODE, FLAG_EBDI, FLAG_INVERTED,
     FLAG_ROTATION, SRC_TRANSFORM,
@@ -18,26 +18,42 @@ use zr_types::{CachelineConfig, CellType, DramConfig, Result, SystemConfig, Tran
 use zr_xray::XrayRecorder;
 
 /// Pre-resolved `transform.*` metric handles. Stage "pick rates" are the
-/// per-stage counters divided by the call counters.
+/// per-stage counters divided by the call counters. They are per-line
+/// tallies, published by [`ValueTransformer::publish_counters`] and on
+/// drop.
 #[derive(Debug, Clone)]
 struct TransformMetrics {
-    encode_calls: Counter,
-    decode_calls: Counter,
-    stage_ebdi: Counter,
-    stage_bit_plane: Counter,
-    stage_inversion: Counter,
-    stage_rotation: Counter,
+    encode_calls: LocalCounter,
+    decode_calls: LocalCounter,
+    stage_ebdi: LocalCounter,
+    stage_bit_plane: LocalCounter,
+    stage_inversion: LocalCounter,
+    stage_rotation: LocalCounter,
 }
 
 impl TransformMetrics {
     fn new(telemetry: &Telemetry) -> Self {
+        let counter = |name| LocalCounter::new(telemetry.counter(name));
         TransformMetrics {
-            encode_calls: telemetry.counter("transform.encode.calls"),
-            decode_calls: telemetry.counter("transform.decode.calls"),
-            stage_ebdi: telemetry.counter("transform.encode.stage_ebdi"),
-            stage_bit_plane: telemetry.counter("transform.encode.stage_bit_plane"),
-            stage_inversion: telemetry.counter("transform.encode.stage_inversion"),
-            stage_rotation: telemetry.counter("transform.encode.stage_rotation"),
+            encode_calls: counter("transform.encode.calls"),
+            decode_calls: counter("transform.decode.calls"),
+            stage_ebdi: counter("transform.encode.stage_ebdi"),
+            stage_bit_plane: counter("transform.encode.stage_bit_plane"),
+            stage_inversion: counter("transform.encode.stage_inversion"),
+            stage_rotation: counter("transform.encode.stage_rotation"),
+        }
+    }
+
+    fn flush(&self) {
+        for counter in [
+            &self.encode_calls,
+            &self.decode_calls,
+            &self.stage_ebdi,
+            &self.stage_bit_plane,
+            &self.stage_inversion,
+            &self.stage_rotation,
+        ] {
+            counter.flush();
         }
     }
 }
@@ -110,6 +126,14 @@ impl ValueTransformer {
             flags |= FLAG_ROTATION;
         }
         flags
+    }
+
+    /// Adds the `transform.*` counts tallied since the last call to the
+    /// telemetry counters. The memory controller calls this at every
+    /// refresh window, and dropping the transformer does it too; a clone
+    /// publishes only the lines it transformed itself.
+    pub fn publish_counters(&self) {
+        self.metrics.flush();
     }
 
     /// The cacheline geometry this transformer was built with.

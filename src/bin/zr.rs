@@ -154,7 +154,7 @@ fn preset_line(preset: &str) -> Result<[u8; 64], Error> {
         }
         "text" => {
             line.copy_from_slice(
-                b"the quick brown fox jumps over the lazy dog; dram refresh sleep",
+                b"the quick brown fox jumps over the lazy dog; dram refresh sleeps",
             );
         }
         "random" => {
@@ -175,8 +175,22 @@ fn preset_line(preset: &str) -> Result<[u8; 64], Error> {
 
 fn transform(preset: Option<&String>, row: Option<&String>) -> Result<(), Error> {
     let preset = preset.map(String::as_str).unwrap_or("pointer");
-    let row = RowIndex(row.and_then(|v| v.parse().ok()).unwrap_or(0));
     let cfg = SystemConfig::paper_default();
+    let row = match row {
+        None => RowIndex(0),
+        Some(v) => {
+            let row: u64 = v
+                .parse()
+                .map_err(|_| Error::invalid_config(format!("row={v:?} is not a whole number")))?;
+            let rows = cfg.geometry().rows_per_bank();
+            if row >= rows {
+                return Err(Error::invalid_config(format!(
+                    "row={row} is out of range: a bank has {rows} rows"
+                )));
+            }
+            RowIndex(row)
+        }
+    };
     let tf = ValueTransformer::new(&cfg)?;
     let line = preset_line(preset)?;
     let encoded = tf.encode(&line, row)?;

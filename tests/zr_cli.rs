@@ -1,7 +1,7 @@
-//! The `zr` command line, end to end: `zr info`, `zr measure` and `zr
-//! compare` reject an argument they cannot use with a one-line error
-//! naming the argument and exit status 1, instead of running with a
-//! default in its place.
+//! The `zr` command line, end to end: `zr info`, `zr transform`, `zr
+//! measure` and `zr compare` reject an argument they cannot use with a
+//! one-line error naming the argument and exit status 1, instead of
+//! running with a default in its place.
 
 use std::process::Command;
 
@@ -115,5 +115,48 @@ fn valid_measure_call_is_reported() {
         assert_eq!(code, Some(0), "zr {args:?}: stderr {stderr}");
         assert!(stdout.starts_with(header), "zr {args:?}:\n{stdout}");
         assert!(stdout.contains("  refresh ops:  "), "{stdout}");
+    }
+}
+
+#[test]
+fn transform_rejects_a_bad_row_by_name() {
+    assert_args_rejected(
+        &["transform", "pointer", "abc"],
+        "row=\"abc\" is not a whole number",
+    );
+    assert_args_rejected(
+        &["transform", "pointer", "-1"],
+        "row=\"-1\" is not a whole number",
+    );
+    // The paper configuration has 32,768 rows per bank.
+    assert_args_rejected(
+        &["transform", "pointer", "32768"],
+        "row=32768 is out of range: a bank has 32768 rows",
+    );
+}
+
+#[test]
+fn valid_transform_call_is_reported() {
+    let mut calls = vec![(
+        vec!["transform", "pointer"],
+        "preset 'pointer' stored in row 0 (True cells):".to_string(),
+    )];
+    for preset in ["pointer", "smallint", "zero", "text", "random"] {
+        calls.push((
+            vec!["transform", preset, "32767"],
+            format!("preset '{preset}' stored in row 32767 (Anti cells):"),
+        ));
+    }
+    for (args, header) in &calls {
+        let (code, stdout, stderr) = zr(args);
+        assert_eq!(code, Some(0), "zr {args:?}: stderr {stderr}");
+        assert!(
+            stdout.starts_with(header.as_str()),
+            "zr {args:?}:\n{stdout}"
+        );
+        assert!(
+            stdout.ends_with("  inverse verified: decode(encode(x)) == x\n"),
+            "{stdout}"
+        );
     }
 }
