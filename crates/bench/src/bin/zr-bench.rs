@@ -1,10 +1,9 @@
 //! The `zr-bench` harness CLI: the perf-regression suite, profile
-//! capture, span-level diffing and baseline history.
+//! capture and baseline history.
 //!
 //! ```text
 //! zr-bench perf [--quick] [--full] [--runs N]       # run the pinned suite
 //! zr-bench profile [--out DIR] [--quick]            # capture a fig14-subset profile
-//! zr-bench diff <old.json> <new.json> [--top N] [--json F]  # span-level deltas
 //! zr-bench history                                  # per-slice baseline trajectory
 //! ```
 //!
@@ -29,8 +28,11 @@
 //! `--quick` uses the reduced suite workload (what the blessed profile
 //! and the gate's failure capture use).
 //!
-//! `diff` and `history` are documented in `docs/INSIGHT.md`.
+//! `history` is documented in `docs/INSIGHT.md`; span-level diffs of two
+//! profiles are `zr-prof diff`. Reports print through [`Stdout`], so
+//! `zr-bench history | head` keeps the command's own exit status.
 
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -39,28 +41,37 @@ use zr_bench::perf::{
     PARALLEL_SLICE_THREADS,
 };
 use zr_insight::{diff_profiles, PerfHistory, ProfileDiff};
-use zr_prof::perf::{
-    bless_requested, default_baseline_path, gate, GateOutcome, PerfReport, Tolerance,
-};
+use zr_prof::perf::{default_baseline_path, gate, GateOutcome, PerfReport, Tolerance};
 use zr_prof::{Profile, Profiler};
 use zr_sim::experiments::refresh;
+use zr_types::{knobs, Stdout};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  zr-bench perf [--quick] [--full] [--runs N]\n  zr-bench profile [--out DIR] [--quick]\n  zr-bench diff <old.json> <new.json> [--top N] [--json <out.json>]\n  zr-bench history"
+        "usage:\n  zr-bench perf [--quick] [--full] [--runs N]\n  zr-bench profile [--out DIR] [--quick]\n  zr-bench history"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.split_first() {
-        Some((cmd, rest)) if cmd == "perf" => cmd_perf(rest),
-        Some((cmd, rest)) if cmd == "profile" => cmd_profile(rest),
-        Some((cmd, rest)) if cmd == "diff" => cmd_diff(rest),
-        Some((cmd, rest)) if cmd == "history" => cmd_history(rest),
-        _ => usage(),
+    if let Err(e) = knobs::check() {
+        eprintln!("[zr-bench] {e}");
+        return ExitCode::FAILURE;
     }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let report = match args.split_first() {
+        Some((cmd, rest)) if cmd == "perf" => return cmd_perf(rest),
+        Some((cmd, rest)) if cmd == "profile" => cmd_profile(rest),
+        Some((cmd, rest)) if cmd == "history" => cmd_history(rest),
+        _ => return usage(),
+    };
+    let report = match report {
+        Ok(report) => report,
+        Err(code) => return code,
+    };
+    let out = &mut Stdout::new();
+    let status = out.write_all(report.as_bytes()).map(|()| ExitCode::SUCCESS);
+    out.finish("zr-bench", status)
 }
 
 fn cmd_perf(rest: &[String]) -> ExitCode {
@@ -106,7 +117,7 @@ fn cmd_perf(rest: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     let baseline_path = default_baseline_path();
-    if bless_requested() {
+    if knobs::BLESS.on() {
         match zr_insight::bless_with_history(&baseline_path, &current) {
             Ok(()) => eprintln!(
                 "[zr-bench] blessed baseline {} (history carried forward)",
@@ -120,7 +131,7 @@ fn cmd_perf(rest: &[String]) -> ExitCode {
         // Re-bless the span-level baseline alongside the numbers, so a
         // later gate failure diffs against a capture of this code.
         let profile_path = blessed_profile_path(&baseline_path);
-        return match capture_fig14_profile() {
+        return match capture_fig14_profile(true) {
             Ok(profile) => {
                 if let Err(e) = std::fs::write(&profile_path, profile.to_json().to_pretty()) {
                     eprintln!("[zr-bench] cannot write {}: {e}", profile_path.display());
@@ -140,7 +151,9 @@ fn cmd_perf(rest: &[String]) -> ExitCode {
         eprintln!("[zr-bench] {e}");
     }
     let baseline = PerfReport::load(&baseline_path).ok();
-    match gate(baseline.as_ref(), &current, &Tolerance::from_env(), false) {
+    let mut tolerance = Tolerance::default();
+    tolerance.wall_rel = knobs::PERF_TOL.fraction().unwrap_or(tolerance.wall_rel);
+    match gate(baseline.as_ref(), &current, &tolerance, false) {
         GateOutcome::Blessed => unreachable!("gate cannot bless without the flag"),
         GateOutcome::Pass { notes } => {
             for note in notes {
@@ -173,13 +186,13 @@ fn blessed_profile_path(baseline_path: &Path) -> PathBuf {
     baseline_path.with_file_name("BENCH_profile.json")
 }
 
-/// Captures a fig14-subset profile at the quick suite workload with the
-/// process-wide span profiler — the capture the blessed
-/// `BENCH_profile.json` and the gate's failure attribution both use.
-fn capture_fig14_profile() -> Result<Profile, String> {
+/// Captures a fig14-subset profile with the process-wide span profiler,
+/// at the quick suite workload (what the blessed `BENCH_profile.json` and
+/// the gate's failure attribution use) or the full one.
+fn capture_fig14_profile(quick: bool) -> Result<Profile, String> {
     let profiler = Profiler::install_global();
     let before = profiler.snapshot();
-    let exp = perf_experiment_config(true);
+    let exp = perf_experiment_config(quick);
     for &b in &FIG14_SUBSET {
         refresh::measure(b, 1.0, &exp).map_err(|e| format!("{} failed: {e}", b.name()))?;
     }
@@ -221,7 +234,7 @@ fn attribute_failure(baseline_path: &Path) {
             return;
         }
     };
-    let fresh = match capture_fig14_profile() {
+    let fresh = match capture_fig14_profile(true) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("[zr-bench] attribution capture failed: {e}");
@@ -309,7 +322,7 @@ fn check_parallel_speedup(current: &PerfReport) -> bool {
         .map(|s| s.threads)
         .filter(|&t| t > 0)
         .unwrap_or(PARALLEL_SLICE_THREADS as u64);
-    let cores = zr_par::available_parallelism();
+    let cores = knobs::available_parallelism();
     if (cores as u64) < measured_threads {
         eprintln!(
             "[zr-bench] parallel speedup {speedup:.2}x at the measured {measured_threads} pool \
@@ -333,39 +346,35 @@ fn check_parallel_speedup(current: &PerfReport) -> bool {
     true
 }
 
-fn cmd_profile(rest: &[String]) -> ExitCode {
-    let mut out: Option<PathBuf> = None;
+/// The hot-scope table of a fresh capture, or the exit status.
+fn cmd_profile(rest: &[String]) -> Result<String, ExitCode> {
+    let mut out_dir: Option<PathBuf> = None;
     let mut quick = false;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--out" => match it.next() {
-                Some(dir) => out = Some(PathBuf::from(dir)),
-                None => return usage(),
+                Some(dir) => out_dir = Some(PathBuf::from(dir)),
+                None => return Err(usage()),
             },
             "--quick" => quick = true,
-            _ => return usage(),
+            _ => return Err(usage()),
         }
     }
-    let dir = out
-        .or_else(zr_prof::profile_dir)
+    let dir = out_dir
+        .or_else(|| knobs::PROF.path())
         .unwrap_or_else(|| PathBuf::from("prof-out"));
-    let profiler = Profiler::install_global();
-    let exp = perf_experiment_config(quick);
-    for &b in &FIG14_SUBSET {
-        if let Err(e) = refresh::measure(b, 1.0, &exp) {
-            eprintln!("[zr-bench] {} failed: {e}", b.name());
-            return ExitCode::FAILURE;
-        }
-    }
-    let profile = zr_prof::capture_snapshot(profiler);
+    let profile = capture_fig14_profile(quick).map_err(|e| {
+        eprintln!("[zr-bench] {e}");
+        ExitCode::FAILURE
+    })?;
     if let Err(e) = zr_prof::export_profile(&profile, &dir, "fig14_subset") {
         eprintln!("[zr-bench] {e}");
-        return ExitCode::FAILURE;
+        return Err(ExitCode::FAILURE);
     }
     let xray = zr_xray::XrayRecorder::current();
     if xray.is_active() {
-        let xray_dir = zr_xray::export_dir().unwrap_or_else(|| dir.clone());
+        let xray_dir = knobs::XRAY.path().unwrap_or_else(|| dir.clone());
         match zr_xray::export_capture(&xray, &xray_dir) {
             Ok(()) => eprintln!(
                 "[zr-bench] wrote xray capture to {}",
@@ -373,7 +382,7 @@ fn cmd_profile(rest: &[String]) -> ExitCode {
             ),
             Err(e) => {
                 eprintln!("[zr-bench] xray export failed: {e}");
-                return ExitCode::FAILURE;
+                return Err(ExitCode::FAILURE);
             }
         }
     }
@@ -382,64 +391,27 @@ fn cmd_profile(rest: &[String]) -> ExitCode {
         dir.join("fig14_subset.folded").display(),
         dir.join("fig14_subset_profile.json").display()
     );
-    print!("{}", profile.report(20));
-    ExitCode::SUCCESS
+    Ok(profile.report(20))
 }
 
-fn cmd_diff(rest: &[String]) -> ExitCode {
-    let (Some(old_path), Some(new_path)) = (rest.first(), rest.get(1)) else {
-        return usage();
-    };
-    let mut top = 10usize;
-    let mut json_out: Option<String> = None;
-    let mut it = rest[2..].iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--top" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => top = n,
-                None => return usage(),
-            },
-            "--json" => match it.next() {
-                Some(path) => json_out = Some(path.clone()),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    match zr_insight::run_diff(
-        Path::new(old_path),
-        Path::new(new_path),
-        top,
-        json_out.as_deref().map(Path::new),
-    ) {
-        Ok(table) => {
-            print!("{table}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("[zr-bench] {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_history(rest: &[String]) -> ExitCode {
+/// The baseline history table, or the exit status.
+fn cmd_history(rest: &[String]) -> Result<String, ExitCode> {
     if !rest.is_empty() {
-        return usage();
+        return Err(usage());
     }
     let baseline_path = default_baseline_path();
     let baseline = match PerfReport::load(&baseline_path) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("[zr-bench] {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     let text = match std::fs::read_to_string(&baseline_path) {
         Ok(text) => text,
         Err(e) => {
             eprintln!("[zr-bench] cannot read {}: {e}", baseline_path.display());
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
     let history = zr_types::json::Json::parse(&text)
@@ -449,9 +421,8 @@ fn cmd_history(rest: &[String]) -> ExitCode {
         Ok(history) => history,
         Err(e) => {
             eprintln!("[zr-bench] {e}");
-            return ExitCode::FAILURE;
+            return Err(ExitCode::FAILURE);
         }
     };
-    print!("{}", zr_insight::history_table(&baseline, &history));
-    ExitCode::SUCCESS
+    Ok(zr_insight::history_table(&baseline, &history))
 }

@@ -13,13 +13,9 @@
 //! Host-time measurements live in [`perf`] (`zr-bench perf`), not in
 //! `cargo bench`.
 //!
-//! Scale knobs (environment variables; unset or empty means the
-//! default):
-//!
-//! - `ZR_CAPACITY_MB` — simulated capacity per run (default 16 MiB; the
-//!   mechanism is value-based so normalized results are scale-invariant),
-//! - `ZR_WINDOWS` — measured retention windows (default 4),
-//! - `ZR_SEED` — content/traffic seed (default 0x5EED).
+//! The scale knobs `ZR_CAPACITY_MB`, `ZR_WINDOWS` and `ZR_SEED` size
+//! every run; [`zr_types::knobs`] holds their grammar and defaults. The
+//! mechanism is value-based, so normalized results are scale-invariant.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -32,27 +28,29 @@ use std::process::ExitCode;
 
 use zr_sim::experiments::ExperimentConfig;
 use zr_telemetry::Telemetry;
-use zr_types::Error;
+use zr_types::{knobs, Error};
 
-/// Builds the harness-wide experiment configuration from the environment
-/// (see the crate docs for the knobs) and validates it: the one
-/// checkpoint every report binary passes before it simulates anything.
+/// Checks every env knob ([`knobs::check`]), then builds the
+/// harness-wide experiment configuration from the scale knobs (see the
+/// crate docs) and validates it: the one checkpoint every report binary
+/// passes before it simulates anything.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] naming the knob and its value when a knob is
-/// not a whole number or the capacity overflows, else naming the
+/// [`Error::InvalidConfig`] naming the knob and its value when a knob's
+/// grammar rejects it or the capacity overflows, else naming the
 /// capacity and window knobs' values and what
 /// [`ExperimentConfig::validate`] rejects (zero windows, a capacity that
 /// holds no valid geometry, ...).
 pub fn experiment_config() -> zr_types::Result<ExperimentConfig> {
-    let capacity_mb = knob("ZR_CAPACITY_MB", 16)?;
+    knobs::check()?;
+    let capacity_mb = knobs::CAPACITY_MB.int().unwrap_or(16);
     let config = ExperimentConfig {
         capacity_bytes: capacity_mb.checked_mul(1 << 20).ok_or_else(|| {
             Error::invalid_config(format!("ZR_CAPACITY_MB={capacity_mb} overflows u64 bytes"))
         })?,
-        windows: knob("ZR_WINDOWS", 4)?,
-        seed: knob("ZR_SEED", 0x5EED)?,
+        windows: knobs::WINDOWS.int().unwrap_or(4),
+        seed: knobs::SEED.int().unwrap_or(0x5EED),
         ..ExperimentConfig::default()
     };
     config.validate().map_err(|e| match e {
@@ -63,18 +61,6 @@ pub fn experiment_config() -> zr_types::Result<ExperimentConfig> {
         other => other,
     })?;
     Ok(config)
-}
-
-/// The whole number in env knob `name`, or `default` when it is unset or
-/// empty.
-fn knob(name: &str, default: u64) -> zr_types::Result<u64> {
-    match std::env::var_os(name) {
-        None => Ok(default),
-        Some(value) if value.is_empty() => Ok(default),
-        Some(value) => value.to_str().and_then(|v| v.parse().ok()).ok_or_else(|| {
-            Error::invalid_config(format!("{name}={value:?} is not a whole number"))
-        }),
-    }
 }
 
 /// The `main` of every report binary that takes the experiment config:
@@ -143,13 +129,15 @@ pub fn figure_main<T>(
 pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> T) -> T {
     let telemetry = Telemetry::current();
     let _scope = telemetry.scope(name);
-    let profiler = zr_prof::profile_dir().map(|dir| (zr_prof::Profiler::install_global(), dir));
+    let profiler = knobs::PROF
+        .path()
+        .map(|dir| (zr_prof::Profiler::install_global(), dir));
     let before = telemetry.snapshot();
     let start = std::time::Instant::now();
     let out = f();
     let wall = start.elapsed();
     let after = telemetry.snapshot();
-    let telemetry_dir = zr_telemetry::output_dir();
+    let telemetry_dir = knobs::TELEMETRY.path();
     if let Some(dir) = &telemetry_dir {
         telemetry.flush();
         let path = dir.join(format!("{name}_snapshot.json"));
@@ -185,8 +173,9 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
         // Everything here goes to stderr: with ZR_XRAY off, stdout must
         // stay byte-identical, and with it on nothing may leak into the
         // figure rows either.
-        let dir = zr_xray::export_dir()
-            .or_else(zr_telemetry::output_dir)
+        let dir = knobs::XRAY
+            .path()
+            .or_else(|| telemetry_dir.clone())
             .unwrap_or_else(|| std::path::PathBuf::from("xray-out"));
         match zr_xray::export_capture(&xray, &dir) {
             Ok(()) => {
@@ -232,7 +221,7 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
     let rows = delta("dram.refresh.rows_refreshed") + delta("dram.refresh.rows_skipped");
     let accesses = delta("memctrl.reads") + delta("memctrl.writes");
     let config_hash = zr_lens::fnv64(config.canonical_string().as_bytes());
-    let manifest_dir = lens_output_dir().or(telemetry_dir);
+    let manifest_dir = knobs::LENS.path().or(telemetry_dir);
     let manifest_path = match manifest_dir {
         Some(dir) => {
             let entries = zr_lens::drain_artifacts();
@@ -242,7 +231,7 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
                 config_hash,
                 seed: config.seed,
                 threads: config.effective_threads() as u64,
-                env: zr_lens::env_knobs(),
+                env: knobs::recorded(),
                 totals: zr_lens::RunTotals {
                     rows_refreshed: delta("dram.refresh.rows_refreshed"),
                     rows_skipped: delta("dram.refresh.rows_skipped"),
@@ -281,7 +270,7 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
         "[zr-bench] {name}: {:.2}s wall @ {} thread(s), {rows} chip-row decisions ({:.0}/s), \
          {accesses} line accesses ({:.0}/s), config {}{}\n",
         wall.as_secs_f64(),
-        zr_par::thread_count(),
+        knobs::thread_count(),
         rows as f64 / secs,
         accesses as f64 / secs,
         zr_lens::hex64(config_hash),
@@ -293,13 +282,4 @@ pub fn run_figure<T>(name: &str, config: &ExperimentConfig, f: impl FnOnce() -> 
     use std::io::Write as _;
     let _ = std::io::stderr().write_all(summary.as_bytes());
     out
-}
-
-/// The manifest output directory `ZR_LENS` selects, when set and
-/// non-empty. With it unset, manifests fall back to the telemetry
-/// output directory (and are skipped entirely when neither exists).
-pub fn lens_output_dir() -> Option<std::path::PathBuf> {
-    std::env::var_os(zr_lens::ENV_LENS_DIR)
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
 }

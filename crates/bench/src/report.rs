@@ -49,12 +49,6 @@ pub fn columns(label: &str, names: &[&str]) {
     println!("{}", "-".repeat(14 + 9 * names.len()));
 }
 
-/// The directory JSON reports go to, from `ZR_TELEMETRY` (`None`
-/// disables JSON emission).
-pub fn json_output_dir() -> Option<PathBuf> {
-    zr_telemetry::output_dir()
-}
-
 /// The report text of `data`: pretty JSON in serde_json's layout (no
 /// trailing newline).
 pub fn report_json<T: ToJson + ?Sized>(data: &T) -> String {
@@ -81,12 +75,12 @@ pub fn try_write_json_to<T: ToJson + ?Sized>(
     Ok(path)
 }
 
-/// Writes `data` as pretty JSON to `<json_output_dir()>/<name>.json`
-/// when JSON emission is enabled; does nothing otherwise. The outcome —
+/// Writes `data` as pretty JSON to `<dir>/<name>.json` when `ZR_TELEMETRY`
+/// names a directory; does nothing otherwise. The outcome —
 /// success or failure — is recorded as a `report_write` telemetry event
 /// and echoed on stderr; it never fails the experiment.
 pub fn write_json<T: ToJson + ?Sized>(name: &str, data: &T) {
-    let Some(dir) = json_output_dir() else {
+    let Some(dir) = zr_types::knobs::TELEMETRY.path() else {
         return;
     };
     write_json_with(&Telemetry::current(), &dir, name, data);

@@ -135,22 +135,27 @@ impl DivergenceReport {
     /// and swallowed — a failing differential must still panic with the
     /// report text even on a read-only filesystem.
     pub fn persist(&self, name: &str) -> Option<PathBuf> {
-        let dir = std::env::var("ZR_CONFORM_REPORT_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| {
-                PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/conform-reports")
-            });
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("conform: cannot create report dir {}: {e}", dir.display());
-            return None;
-        }
-        let path = dir.join(format!("{name}.txt"));
-        match std::fs::write(&path, self.to_string()) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("conform: cannot write report {}: {e}", path.display());
-                None
-            }
+        write_report(&format!("{name}.txt"), &self.to_string())
+    }
+}
+
+/// Writes `text` as `file` in the report directory ([`DivergenceReport::persist`]
+/// says which) and returns its path; IO failures go to stderr.
+pub(crate) fn write_report(file: &str, text: &str) -> Option<PathBuf> {
+    let default = || PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/conform-reports");
+    let dir = zr_types::knobs::CONFORM_REPORT_DIR
+        .path()
+        .unwrap_or_else(default);
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("conform: cannot create report dir {}: {e}", dir.display());
+        return None;
+    }
+    let path = dir.join(file);
+    match std::fs::write(&path, text) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("conform: cannot write report {}: {e}", path.display());
+            None
         }
     }
 }

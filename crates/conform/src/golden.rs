@@ -84,13 +84,8 @@ pub fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Whether this run re-blesses instead of comparing (`ZR_BLESS=1`).
-pub fn bless_requested() -> bool {
-    std::env::var("ZR_BLESS").map(|v| v == "1").unwrap_or(false)
-}
-
 /// Compares `actual` against the blessed snapshot `name`, or rewrites
-/// the snapshot when [`bless_requested`]. On mismatch the report is also
+/// the snapshot when `ZR_BLESS=1`. On mismatch the report is also
 /// persisted under the conformance report directory so CI can upload it.
 ///
 /// # Errors
@@ -99,7 +94,7 @@ pub fn bless_requested() -> bool {
 /// out-of-tolerance difference.
 pub fn check(name: &str, actual: &Json, tolerance: Tolerance) -> Result<(), GoldenError> {
     let path = golden_dir().join(format!("{name}.json"));
-    if bless_requested() {
+    if zr_types::knobs::BLESS.on() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
         std::fs::write(&path, actual.to_pretty()).expect("write golden snapshot");
         eprintln!("conform: blessed {}", path.display());
@@ -135,19 +130,8 @@ pub fn check(name: &str, actual: &Json, tolerance: Tolerance) -> Result<(), Gold
         name: name.to_string(),
         mismatches,
     };
-    persist_report(name, &err);
+    crate::diff::write_report(&format!("golden-{name}.txt"), &err.to_string());
     Err(err)
-}
-
-fn persist_report(name: &str, err: &GoldenError) {
-    let dir = std::env::var("ZR_CONFORM_REPORT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/conform-reports")
-        });
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("golden-{name}.txt")), err.to_string());
-    }
 }
 
 fn compare(path: &str, golden: &Json, actual: &Json, tol: Tolerance, out: &mut Vec<String>) {

@@ -12,12 +12,16 @@
 //! machines before subtracting (see `docs/INSIGHT.md`), prints a human
 //! table, and with `--json` also writes the machine-readable delta
 //! document.
+//!
+//! Output goes through [`Stdout`], so `zr-prof report p.json | head`
+//! keeps the command's own exit status.
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
-use zr_prof::Profile;
-use zr_types::json::Json;
+use zr_insight::load_profile;
+use zr_types::Stdout;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -26,23 +30,31 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load(path: &str) -> Result<Profile, String> {
-    let text =
-        std::fs::read_to_string(Path::new(path)).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    Profile::from_json(&doc)
+fn failed(e: String) -> ExitCode {
+    eprintln!("zr-prof: {e}");
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((cmd, rest)) => (cmd.as_str(), rest),
-        None => return usage(),
+    let report = match run(&args) {
+        Ok(report) => report,
+        Err(code) => return code,
     };
-    match cmd {
+    let out = &mut Stdout::new();
+    let status = out.write_all(report.as_bytes()).map(|()| ExitCode::SUCCESS);
+    out.finish("zr-prof", status)
+}
+
+/// The report the command prints, or the exit status it ends with.
+fn run(args: &[String]) -> Result<String, ExitCode> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(usage());
+    };
+    match cmd.as_str() {
         "report" => {
             let Some(path) = rest.first() else {
-                return usage();
+                return Err(usage());
             };
             let mut top = 20usize;
             let mut it = rest[1..].iter();
@@ -50,40 +62,26 @@ fn main() -> ExitCode {
                 match flag.as_str() {
                     "--top" => match it.next().and_then(|v| v.parse().ok()) {
                         Some(n) => top = n,
-                        None => return usage(),
+                        None => return Err(usage()),
                     },
-                    _ => return usage(),
+                    _ => return Err(usage()),
                 }
             }
-            match load(path) {
-                Ok(profile) => {
-                    print!("{}", profile.report(top));
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("zr-prof: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            load_profile(Path::new(path))
+                .map(|profile| profile.report(top))
+                .map_err(failed)
         }
         "folded" => {
             let Some(path) = rest.first() else {
-                return usage();
+                return Err(usage());
             };
-            match load(path) {
-                Ok(profile) => {
-                    print!("{}", profile.to_folded());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("zr-prof: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            load_profile(Path::new(path))
+                .map(|profile| profile.to_folded())
+                .map_err(failed)
         }
         "diff" => {
             let (Some(old_path), Some(new_path)) = (rest.first(), rest.get(1)) else {
-                return usage();
+                return Err(usage());
             };
             let mut top = 10usize;
             let mut json_out: Option<String> = None;
@@ -92,31 +90,24 @@ fn main() -> ExitCode {
                 match flag.as_str() {
                     "--top" => match it.next().and_then(|v| v.parse().ok()) {
                         Some(n) => top = n,
-                        None => return usage(),
+                        None => return Err(usage()),
                     },
                     "--json" => match it.next() {
                         Some(path) => json_out = Some(path.clone()),
-                        None => return usage(),
+                        None => return Err(usage()),
                     },
-                    _ => return usage(),
+                    _ => return Err(usage()),
                 }
             }
-            match zr_insight::run_diff(
-                Path::new(old_path),
-                Path::new(new_path),
-                top,
-                json_out.as_deref().map(Path::new),
-            ) {
-                Ok(table) => {
-                    print!("{table}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("zr-prof: {e}");
-                    ExitCode::FAILURE
-                }
+            let old = load_profile(Path::new(old_path)).map_err(failed)?;
+            let new = load_profile(Path::new(new_path)).map_err(failed)?;
+            let diff = zr_insight::diff_profiles(&old, &new);
+            if let Some(path) = json_out {
+                std::fs::write(&path, diff.to_json().to_pretty())
+                    .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             }
+            Ok(diff.table(top))
         }
-        _ => usage(),
+        _ => Err(usage()),
     }
 }

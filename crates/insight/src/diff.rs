@@ -396,26 +396,3 @@ pub fn load_profile(path: &Path) -> Result<Profile, String> {
     let doc = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     Profile::from_json(&doc)
 }
-
-/// The shared CLI body of `zr-prof diff` and `zr-bench diff`: loads
-/// both profiles, diffs them, optionally writes the machine JSON to
-/// `json_out`, and returns the human table.
-///
-/// # Errors
-///
-/// Load, parse or write errors as strings.
-pub fn run_diff(
-    old_path: &Path,
-    new_path: &Path,
-    top: usize,
-    json_out: Option<&Path>,
-) -> Result<String, String> {
-    let old = load_profile(old_path)?;
-    let new = load_profile(new_path)?;
-    let diff = diff_profiles(&old, &new);
-    if let Some(out) = json_out {
-        std::fs::write(out, diff.to_json().to_pretty())
-            .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    }
-    Ok(diff.table(top))
-}

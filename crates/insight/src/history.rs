@@ -164,8 +164,16 @@ impl PerfHistory {
     }
 
     /// Pushes every slice of an outgoing baseline into its ring,
-    /// dropping the oldest entries beyond [`HISTORY_CAP`].
+    /// dropping the oldest entries beyond [`HISTORY_CAP`]. A baseline
+    /// whose every slice equals its ring's newest entry is already there
+    /// (blessing twice from the same outgoing file), so it is not pushed
+    /// again.
     pub fn push_report(&mut self, report: &PerfReport) {
+        if report.slices.iter().all(|slice| {
+            self.slice(&slice.name).and_then(<[_]>::last) == Some(&HistoryEntry::from_slice(slice))
+        }) {
+            return;
+        }
         for slice in &report.slices {
             let runs = match self.slices.iter_mut().find(|(n, _)| n == &slice.name) {
                 Some((_, runs)) => runs,

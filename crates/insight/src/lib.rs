@@ -27,8 +27,7 @@ pub mod diff;
 pub mod history;
 
 pub use diff::{
-    calibration_scale, diff_profiles, load_profile, run_diff, DeltaKind, ProfileDiff, SpanDelta,
-    SCALE_CLAMP,
+    calibration_scale, diff_profiles, load_profile, DeltaKind, ProfileDiff, SpanDelta, SCALE_CLAMP,
 };
 pub use history::{
     bless_with_history, detect_trend, history_table, report_with_history_json, slice_series,

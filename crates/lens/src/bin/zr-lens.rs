@@ -10,7 +10,7 @@
 //! it as `layer= key= lhs= rhs=`. `html` writes the self-contained
 //! dashboard next to the manifest (`lens.html`) unless `--out` says
 //! otherwise. `show` prints the manifest summary. Reports go through
-//! [`zr_trace::Stdout`], so a reader that stops early (`zr-lens show
+//! [`zr_types::Stdout`], so a reader that stops early (`zr-lens show
 //! manifest.json | head`) only cuts them short.
 
 use std::io::{self, Write};
@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use zr_lens::manifest::hex64;
 use zr_lens::{LoadedRun, Manifest};
-use zr_trace::Stdout;
+use zr_types::Stdout;
 
 fn usage() -> ExitCode {
     eprintln!("usage: zr-lens audit <manifest.json>");
@@ -47,13 +47,7 @@ fn main() -> ExitCode {
         },
         _ => return usage(),
     };
-    match result.and_then(|code| out.flush().map(|()| code)) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("zr-lens: cannot write to stdout: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    out.finish("zr-lens", result)
 }
 
 fn cmd_audit(manifest: &Path, out: &mut Stdout) -> io::Result<ExitCode> {

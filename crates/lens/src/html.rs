@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 
 use zr_prof::{Profile, ProfileNode};
 use zr_types::json::Json;
+use zr_types::knobs::{self, Grammar, Kind};
 use zr_xray::{EngineCapture, XraySnapshot};
 
 use crate::manifest::hex64;
@@ -179,21 +180,20 @@ fn render_header(run: &LoadedRun, out: &mut String) {
     out.push_str("</table>\n");
     out.push_str("<details><summary>Environment &amp; artifacts</summary>\n<table><tr><th>knob</th><th>value</th></tr>\n");
     for (key, value) in &m.env {
-        // ZR_THREADS varies between byte-equivalent runs; keep it out
-        // of the byte-deterministic rendering (it stays in the
-        // manifest itself).
-        if key == "ZR_THREADS" {
+        let knob = knobs::ALL.iter().find(|k| k.name == key);
+        // Schedule knobs vary between byte-equivalent runs; keep them out
+        // of the byte-deterministic rendering (they stay in the manifest
+        // itself).
+        if knob.is_some_and(|k| k.kind == Kind::Schedule) {
             continue;
         }
-        // Output-directory knobs carry run-local paths; render presence
-        // only, so dashboards captured into different directories stay
+        // Path knobs carry run-local paths; render presence only, so
+        // dashboards captured into different directories stay
         // byte-identical (the manifest keeps the actual paths).
-        let dir_knob = matches!(
-            key.as_str(),
-            "ZR_TELEMETRY" | "ZR_TRACE" | "ZR_XRAY" | "ZR_PROF"
-        );
+        let path_knob =
+            knob.is_some_and(|k| matches!(k.grammar, Grammar::Path | Grammar::SwitchOrPath));
         let shown = match value {
-            Some(_) if dir_knob => "<span class=\"muted\">set</span>".to_string(),
+            Some(_) if path_knob => "<span class=\"muted\">set</span>".to_string(),
             Some(v) => esc(v),
             None => "<span class=\"muted\">unset</span>".to_string(),
         };

@@ -38,7 +38,7 @@ pub mod run;
 pub use audit::{audit, audit_run, AuditReport, Mismatch};
 pub use html::{parse_history, render, HistorySeries};
 pub use manifest::{
-    collect_artifacts, drain_artifacts, env_knobs, fnv64, hex64, register_artifact, relativize,
-    Artifact, Manifest, RunTotals, Volatile, ENV_LENS_DIR, FILE_NAME,
+    collect_artifacts, drain_artifacts, fnv64, hex64, register_artifact, relativize, Artifact,
+    Manifest, RunTotals, Volatile, FILE_NAME,
 };
 pub use run::LoadedRun;

@@ -30,21 +30,6 @@ pub const SCHEMA: u64 = 1;
 /// File name the manifest is written under.
 pub const FILE_NAME: &str = "manifest.json";
 
-/// Environment variable selecting the manifest output directory.
-pub const ENV_LENS_DIR: &str = "ZR_LENS";
-
-/// The environment knobs a manifest records (present or not).
-pub const ENV_KNOBS: &[&str] = &[
-    "ZR_TELEMETRY",
-    "ZR_TRACE",
-    "ZR_XRAY",
-    "ZR_PROF",
-    "ZR_THREADS",
-    "ZR_CAPACITY_MB",
-    "ZR_WINDOWS",
-    "ZR_SEED",
-];
-
 /// The checksum every layer of the manifest uses.
 pub use zr_types::fnv64;
 
@@ -124,7 +109,8 @@ pub struct Manifest {
     pub seed: u64,
     /// Effective sweep-pool width the run used.
     pub threads: u64,
-    /// The [`ENV_KNOBS`] values at run time (`None` = unset).
+    /// The values of the knobs manifests record
+    /// ([`zr_types::knobs::recorded`]) at run time (`None` = unset).
     pub env: BTreeMap<String, Option<String>>,
     /// Refresh-domain totals from the harness's counter deltas.
     pub totals: RunTotals,
@@ -409,14 +395,6 @@ pub fn relativize(base: &Path, path: &Path) -> String {
         Ok(rel) => rel.display().to_string(),
         Err(_) => path.display().to_string(),
     }
-}
-
-/// Snapshots the [`ENV_KNOBS`] from the process environment.
-pub fn env_knobs() -> BTreeMap<String, Option<String>> {
-    ENV_KNOBS
-        .iter()
-        .map(|&k| (k.to_string(), std::env::var(k).ok()))
-        .collect()
 }
 
 mod registrar {

@@ -130,7 +130,7 @@ fn hash_is_invariant_to_observability_env_knobs() {
     ];
     for (knob, value) in knob_values {
         assert!(
-            zr_lens::manifest::ENV_KNOBS.contains(&knob),
+            zr_types::knobs::recorded().contains_key(knob),
             "{knob} is no longer a manifest-recorded knob; update this test"
         );
         let previous = std::env::var_os(knob);

@@ -19,13 +19,13 @@
 //! submission order, see `zr_sim::experiments::parallel`) gets
 //! bit-reproducible output for every thread count.
 //!
-//! # Thread-count knob
+//! # Pool width
 //!
-//! [`thread_count`] resolves the pool width from the `ZR_THREADS`
-//! environment variable, defaulting to
-//! [`std::thread::available_parallelism`]. `ZR_THREADS=1` (or one
-//! core) selects the exact serial path: jobs run inline on the calling
-//! thread, in order, with no pool machinery at all.
+//! Callers pass the width. The figure sweeps take it from the
+//! `ZR_THREADS` knob (`zr_types::knobs::thread_count`), whose default is
+//! the machine's available parallelism; a width of 1 selects the exact
+//! serial path: jobs run inline on the calling thread, in order, with
+//! no pool machinery at all.
 //!
 //! # No dependencies
 //!
@@ -39,36 +39,6 @@ pub mod context;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Environment variable selecting the pool width (`1` = serial).
-pub const ENV_THREADS: &str = "ZR_THREADS";
-
-/// Pool width from the environment: `ZR_THREADS` when set to a positive
-/// integer, otherwise [`std::thread::available_parallelism`] (1 when
-/// even that is unavailable).
-pub fn thread_count() -> usize {
-    resolve_thread_count(
-        std::env::var(ENV_THREADS).ok().as_deref(),
-        available_parallelism(),
-    )
-}
-
-/// This machine's available parallelism (1 when undetectable).
-pub fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Pure resolution of the `ZR_THREADS` value: a positive integer wins;
-/// anything else (unset, empty, `0`, garbage) falls back to `fallback`,
-/// clamped to at least 1.
-pub fn resolve_thread_count(var: Option<&str>, fallback: usize) -> usize {
-    match var.and_then(|v| v.trim().parse::<usize>().ok()) {
-        Some(n) if n > 0 => n,
-        _ => fallback.max(1),
-    }
-}
 
 /// Runs `jobs` indexed jobs on up to `threads` scoped worker threads
 /// and returns the results in submission order.
@@ -272,21 +242,6 @@ mod tests {
         let serial: Result<Vec<usize>, ()> = try_run_jobs(1, 12, Ok);
         let pooled: Result<Vec<usize>, ()> = try_run_jobs(3, 12, Ok);
         assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn thread_count_resolution() {
-        // Positive integers win.
-        assert_eq!(resolve_thread_count(Some("4"), 8), 4);
-        assert_eq!(resolve_thread_count(Some(" 2 "), 8), 2);
-        assert_eq!(resolve_thread_count(Some("1"), 8), 1);
-        // Everything else falls back.
-        assert_eq!(resolve_thread_count(Some("0"), 8), 8);
-        assert_eq!(resolve_thread_count(Some(""), 8), 8);
-        assert_eq!(resolve_thread_count(Some("lots"), 8), 8);
-        assert_eq!(resolve_thread_count(None, 8), 8);
-        // The fallback itself is clamped to at least one worker.
-        assert_eq!(resolve_thread_count(None, 0), 1);
     }
 
     #[test]

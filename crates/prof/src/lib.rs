@@ -42,29 +42,16 @@ pub use alloc::{AllocScope, AllocStats, AllocTotals};
 pub use perf::{GateOutcome, PerfReport, SliceResult, Tolerance};
 pub use profile::{Profile, ProfileNode, Profiler};
 
-/// Environment variable that makes profile-aware binaries capture a
-/// profile into the named directory (`<dir>/<name>.folded` plus
-/// `<dir>/<name>_profile.json`).
-pub const ENV_PROF_DIR: &str = "ZR_PROF";
-
-/// Profile output directory requested through [`ENV_PROF_DIR`], if any
-/// (empty values count as unset).
-pub fn profile_dir() -> Option<std::path::PathBuf> {
-    std::env::var_os(ENV_PROF_DIR)
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}
-
 /// Snapshots `profiler` and stamps the capture metadata that profile
 /// diffing needs: the machine's cached quick calibration reading
 /// ([`perf::capture_calibration`]) and the resolved sweep-pool width
-/// (`ZR_THREADS`/core count via `zr-par`). Capture sites should prefer
+/// (`ZR_THREADS` or the core count). Capture sites should prefer
 /// this over a raw [`Profiler::snapshot`] so saved `profile.json`
 /// files stay comparable across machines and thread counts.
 pub fn capture_snapshot(profiler: &Profiler) -> Profile {
     let mut profile = profiler.snapshot();
     profile.calibration_wall_ns = perf::capture_calibration();
-    profile.threads = zr_par::thread_count() as u64;
+    profile.threads = zr_types::knobs::thread_count() as u64;
     profile
 }
 

@@ -11,7 +11,7 @@
 //! machine-independent and compare unscaled.
 //!
 //! Blessing mirrors `zr-conform`'s golden gates: run with `ZR_BLESS=1`
-//! ([`bless_requested`]) to rewrite the baseline instead of comparing.
+//! (`zr_types::knobs::BLESS`) to rewrite the baseline instead of comparing.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -311,28 +311,6 @@ impl Default for Tolerance {
             alloc_rel: 0.25,
         }
     }
-}
-
-impl Tolerance {
-    /// Default tolerances, with `ZR_PERF_TOL` (a fraction, e.g. `0.4`)
-    /// overriding the wall-time tolerance.
-    pub fn from_env() -> Self {
-        let mut tol = Tolerance::default();
-        if let Some(v) = std::env::var("ZR_PERF_TOL")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| v.is_finite() && *v >= 0.0)
-        {
-            tol.wall_rel = v;
-        }
-        tol
-    }
-}
-
-/// Whether this run re-blesses the baseline (`ZR_BLESS=1`), mirroring
-/// the conformance golden gates.
-pub fn bless_requested() -> bool {
-    std::env::var("ZR_BLESS").map(|v| v == "1").unwrap_or(false)
 }
 
 /// The checked-in baseline location: `BENCH_perf.json` at the repo

@@ -22,6 +22,10 @@ fn usage() -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = zr_types::knobs::check() {
+        eprintln!("zr-serve: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut config = ServerConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

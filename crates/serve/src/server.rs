@@ -454,7 +454,7 @@ fn write_run(
         config_hash: job.key,
         seed: job.request.config.seed,
         threads: job.request.config.effective_threads() as u64,
-        env: zr_lens::env_knobs(),
+        env: zr_types::knobs::recorded(),
         totals: zr_lens::RunTotals {
             rows_refreshed: snapshot.counter("dram.refresh.rows_refreshed"),
             rows_skipped: snapshot.counter("dram.refresh.rows_skipped"),

@@ -60,7 +60,7 @@ pub struct ExperimentConfig {
     /// Transformation stage toggles (ablations disable stages).
     pub transform: zr_types::TransformConfig,
     /// Sweep-pool width override: `None` defers to `ZR_THREADS` /
-    /// available parallelism (see [`zr_par::thread_count`]); `Some(1)`
+    /// available parallelism (see [`zr_types::knobs::thread_count`]); `Some(1)`
     /// pins the exact serial path. Results are byte-identical for every
     /// value — this knob trades wall time only.
     pub threads: Option<usize>,
@@ -105,9 +105,11 @@ impl ExperimentConfig {
 
     /// The sweep-pool width this experiment runs at: the explicit
     /// [`ExperimentConfig::threads`] override when set, otherwise the
-    /// process-wide [`zr_par::thread_count`] resolution.
+    /// process-wide [`zr_types::knobs::thread_count`] resolution.
     pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(zr_par::thread_count).max(1)
+        self.threads
+            .unwrap_or_else(zr_types::knobs::thread_count)
+            .max(1)
     }
 
     /// A canonical key/value rendering of every field that affects

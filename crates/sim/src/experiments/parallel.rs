@@ -38,20 +38,6 @@ use zr_trace::TraceRecorder;
 use zr_types::Result;
 use zr_xray::XrayRecorder;
 
-/// Environment variable enabling the live sweep progress reporter
-/// (`ZR_PROGRESS=1`): a throttled single-line status on stderr plus
-/// `sweep_progress` telemetry events. Progress never touches stdout,
-/// figure JSON or metric snapshots, so enabling it keeps every figure
-/// artifact byte-identical.
-pub const ENV_PROGRESS: &str = "ZR_PROGRESS";
-
-/// Whether the progress reporter is enabled (`ZR_PROGRESS=1`).
-pub fn progress_enabled() -> bool {
-    std::env::var(ENV_PROGRESS)
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// Minimum gap between two progress reports (the final one excepted).
 const PROGRESS_THROTTLE_US: u64 = 200_000;
 
@@ -98,7 +84,9 @@ pub(crate) fn render_progress(
 /// a final `total/total` report. Reports go to stderr (one `write_all`
 /// per line, so concurrent writers cannot shear a line) and, when an
 /// event sink is installed, to the parent telemetry as
-/// [`Event::SweepProgress`].
+/// [`Event::SweepProgress`]. Progress never touches stdout, figure JSON
+/// or metric snapshots, so enabling it keeps every figure artifact
+/// byte-identical.
 struct SweepProgress {
     label: String,
     total: u64,
@@ -184,8 +172,8 @@ where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
-    let progress =
-        (progress_enabled() && jobs > 0).then(|| SweepProgress::new(jobs, Telemetry::current()));
+    let progress = (zr_types::knobs::PROGRESS.on() && jobs > 0)
+        .then(|| SweepProgress::new(jobs, Telemetry::current()));
 
     if threads <= 1 || jobs <= 1 {
         let Some(progress) = progress else {
@@ -278,19 +266,6 @@ where
         None => Ok(results),
         Some(e) => Err(e),
     }
-}
-
-/// [`sweep_with`] at the process-default width ([`zr_par::thread_count`]).
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing job.
-pub fn sweep<T, F>(jobs: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    sweep_with(zr_par::thread_count(), jobs, f)
 }
 
 #[cfg(test)]

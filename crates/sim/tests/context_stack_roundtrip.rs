@@ -20,7 +20,7 @@ const JOBS: usize = 16;
 fn run_all_layers(threads: usize) -> (Vec<u64>, Vec<String>, u64) {
     let parent_telemetry = Arc::new(Telemetry::new());
     let parent_trace = Arc::new(TraceRecorder::memory());
-    let parent_xray = Arc::new(XrayRecorder::memory());
+    let parent_xray = Arc::new(XrayRecorder::memory_with_cap(zr_xray::DEFAULT_WINDOW_CAP));
 
     let _tel = Telemetry::push_current(Arc::clone(&parent_telemetry));
     let _trace = TraceRecorder::push_current(Arc::clone(&parent_trace));

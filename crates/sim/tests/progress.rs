@@ -7,6 +7,7 @@
 //! race on it.
 
 use zr_sim::experiments::{parallel, refresh, ExperimentConfig};
+use zr_types::knobs::PROGRESS;
 use zr_workloads::Benchmark;
 
 const SUBSET: [Benchmark; 3] = [Benchmark::GemsFdtd, Benchmark::Mcf, Benchmark::TpchQ6];
@@ -25,17 +26,17 @@ fn sweep(threads: usize) -> Vec<refresh::RefreshMeasurement> {
 
 #[test]
 fn progress_reporting_never_changes_sweep_results() {
-    std::env::remove_var(parallel::ENV_PROGRESS);
-    assert!(!parallel::progress_enabled());
+    std::env::remove_var(PROGRESS.name);
+    assert!(!PROGRESS.on());
     let quiet_serial = sweep(1);
     let quiet_pooled = sweep(4);
     assert_eq!(quiet_serial, quiet_pooled, "pool determinism baseline");
 
-    std::env::set_var(parallel::ENV_PROGRESS, "1");
-    assert!(parallel::progress_enabled());
+    std::env::set_var(PROGRESS.name, "1");
+    assert!(PROGRESS.on());
     let loud_serial = sweep(1);
     let loud_pooled = sweep(4);
-    std::env::remove_var(parallel::ENV_PROGRESS);
+    std::env::remove_var(PROGRESS.name);
 
     assert_eq!(
         quiet_serial, loud_serial,

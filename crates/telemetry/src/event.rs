@@ -250,16 +250,6 @@ pub struct SampleConfig {
 impl SampleConfig {
     /// Default sampling rate for high-rate kinds.
     pub const DEFAULT_RATE: u64 = 64;
-
-    /// Reads `ZR_TELEMETRY_SAMPLE` (falling back to the default rate).
-    pub fn from_env() -> Self {
-        let rate = std::env::var("ZR_TELEMETRY_SAMPLE")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&r| r > 0)
-            .unwrap_or(Self::DEFAULT_RATE);
-        SampleConfig { rate }
-    }
 }
 
 impl Default for SampleConfig {

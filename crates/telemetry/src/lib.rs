@@ -71,17 +71,6 @@ thread_local! {
 /// `zr-xray`).
 static CURRENT_STACK: zr_par::context::Stack<Telemetry> = zr_par::context::Stack::new(&CURRENT);
 
-/// Environment variable selecting the telemetry output directory.
-pub const ENV_DIR: &str = "ZR_TELEMETRY";
-
-/// Output directory requested through [`ENV_DIR`] (unset or empty:
-/// `None`).
-pub fn output_dir() -> Option<PathBuf> {
-    std::env::var_os(ENV_DIR)
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
 /// One telemetry instance: a metric registry, an optional event sink
 /// and an activation flag gating all non-counter work.
 #[derive(Debug)]
@@ -202,15 +191,19 @@ impl Telemetry {
 
     /// Activates this instance from `ZR_TELEMETRY`: when a directory is
     /// configured, creates it, installs a file sink at
-    /// `<dir>/events.jsonl` and returns the directory. Leaves the
+    /// `<dir>/events.jsonl` (sampled at `ZR_TELEMETRY_SAMPLE`) and returns
+    /// the directory. Leaves the
     /// instance inactive (and returns `None`) when it is unset.
     pub fn init_from_env(&self) -> Option<PathBuf> {
-        let dir = output_dir()?;
+        let dir = zr_types::knobs::TELEMETRY.path()?;
         if let Err(err) = std::fs::create_dir_all(&dir) {
             eprintln!("zr-telemetry: cannot create {}: {err}", dir.display());
             return None;
         }
-        match EventSink::file(&dir.join("events.jsonl"), SampleConfig::from_env()) {
+        let rate = zr_types::knobs::TELEMETRY_SAMPLE
+            .int()
+            .unwrap_or(SampleConfig::DEFAULT_RATE);
+        match EventSink::file(&dir.join("events.jsonl"), SampleConfig { rate }) {
             Ok(sink) => {
                 self.install_sink(sink);
             }

@@ -20,9 +20,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use zr_trace::{
-    diff_traces, filter_records, read_trace, replay, summarize, RecordFilter, RecordKind, Stdout,
+    diff_traces, filter_records, read_trace, replay, summarize, RecordFilter, RecordKind,
     TraceRecord, FLAG_TRUSTED,
 };
+use zr_types::Stdout;
 
 /// What a subcommand returns: its exit status, or an error that exits 2.
 type CmdResult = Result<ExitCode, Box<dyn Error>>;

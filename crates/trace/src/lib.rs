@@ -33,8 +33,8 @@
 //! The `zr-trace` binary wraps this crate: `inspect` (summary and
 //! filtered dumps), `replay` (divergence check), `diff` (align two
 //! traces), `export --chrome` (Perfetto / `chrome://tracing` JSON).
-//! See `docs/TRACING.md`. Its reports, and `zr-lens`'s, print through
-//! [`Stdout`], which stops quietly when the reader closes the pipe.
+//! See `docs/TRACING.md`. Its reports print through `zr_types::Stdout`,
+//! which stops quietly when the reader closes the pipe.
 
 #![warn(missing_docs)]
 
@@ -44,7 +44,6 @@ mod reader;
 mod record;
 mod recorder;
 mod replay;
-mod stdout;
 
 pub use analyze::{
     diff_traces, filter_records, summarize, DiffEntry, RecordFilter, TraceDiff, TraceSummary,
@@ -58,8 +57,5 @@ pub use record::{
     MAGIC, POLICY_CHARGE_AWARE, POLICY_CONVENTIONAL, POLICY_MASK, POLICY_NAIVE_SRAM,
     RECORDS_PER_FRAME, RECORD_BYTES, SRC_CACHE, SRC_MEMCTRL, SRC_TIMING, SRC_TRANSFORM,
 };
-pub use recorder::{
-    env_trace_path, CurrentTraceGuard, TraceRecorder, DEFAULT_FILE_NAME, ENV_TRACE, ENV_TRACE_RING,
-};
+pub use recorder::{env_trace_path, CurrentTraceGuard, TraceRecorder, DEFAULT_FILE_NAME};
 pub use replay::{replay, Divergence, ReplayReport};
-pub use stdout::Stdout;

@@ -40,14 +40,6 @@ use crate::record::{
     RECORD_BYTES,
 };
 
-/// Environment variable activating the global recorder: a directory (the
-/// trace goes to `<dir>/trace.zrt`) or an explicit `.zrt` file path.
-pub const ENV_TRACE: &str = "ZR_TRACE";
-
-/// Environment variable selecting bounded ring-buffer mode: the number of
-/// sealed frames (of [`RECORDS_PER_FRAME`] records each) to keep.
-pub const ENV_TRACE_RING: &str = "ZR_TRACE_RING";
-
 /// Default trace file name when `ZR_TRACE` names a directory.
 pub const DEFAULT_FILE_NAME: &str = "trace.zrt";
 
@@ -56,8 +48,7 @@ pub const DEFAULT_FILE_NAME: &str = "trace.zrt";
 /// other value is a directory that receives [`DEFAULT_FILE_NAME`].
 /// `None` when tracing is disabled (unset or empty).
 pub fn env_trace_path() -> Option<PathBuf> {
-    let dest = std::env::var_os(ENV_TRACE).filter(|v| !v.is_empty())?;
-    let dest = PathBuf::from(dest);
+    let dest = zr_types::knobs::TRACE.path()?;
     Some(if dest.extension().is_some() {
         dest
     } else {
@@ -275,12 +266,8 @@ impl TraceRecorder {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             let _ = std::fs::create_dir_all(parent);
         }
-        let ring = std::env::var(ENV_TRACE_RING)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0);
-        match ring {
-            Some(frames) => TraceRecorder::ring(&path, frames),
+        match zr_types::knobs::TRACE_RING.int() {
+            Some(frames) => TraceRecorder::ring(&path, frames.try_into().unwrap_or(usize::MAX)),
             None => match TraceRecorder::file(&path) {
                 Ok(r) => r,
                 Err(err) => {

@@ -421,7 +421,7 @@ mod tests {
 
     #[test]
     fn xray_attribution_telescopes_per_stage() {
-        let recorder = Arc::new(XrayRecorder::memory());
+        let recorder = Arc::new(XrayRecorder::memory_with_cap(zr_xray::DEFAULT_WINDOW_CAP));
         let tf = {
             let _xray = XrayRecorder::push_current(Arc::clone(&recorder));
             tf()

@@ -16,8 +16,11 @@
 //!   cannot mix units by accident,
 //! - [`Error`] — the common error type,
 //! - [`json`] — the workspace's one JSON codec,
+//! - [`knobs`] — every `ZR_*` environment knob and the one parser of
+//!   their values,
 //! - [`rng`] — the workspace's one PRNG and seeded test-case runner,
-//! - [`fnv64`] — the workspace's one FNV-1a 64 hash.
+//! - [`fnv64`] — the workspace's one FNV-1a 64 hash,
+//! - [`Stdout`] — standard output for reports a reader may stop reading.
 //!
 //! # Examples
 //!
@@ -39,7 +42,9 @@ pub mod config;
 pub mod error;
 pub mod geometry;
 pub mod json;
+pub mod knobs;
 pub mod rng;
+mod stdout;
 pub mod units;
 
 pub use cell::CellType;
@@ -49,6 +54,7 @@ pub use config::{
 };
 pub use error::Error;
 pub use geometry::Geometry;
+pub use stdout::Stdout;
 
 /// Result alias using the crate's [`Error`] type.
 pub type Result<T> = std::result::Result<T, Error>;

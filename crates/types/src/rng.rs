@@ -65,9 +65,6 @@ impl SplitMix64 {
     }
 }
 
-/// The env knob that re-runs a single case, in decimal or `0x` hex.
-const SEED_ENV: &str = "ZR_TEST_SEED";
-
 /// Runs `body` on `n` seeded cases of the property `name`.
 ///
 /// Each case gets a fresh [`SplitMix64`] whose seed is the next draw of
@@ -76,14 +73,9 @@ const SEED_ENV: &str = "ZR_TEST_SEED";
 /// panic re-raised; `ZR_TEST_SEED=<seed>` then runs that one case alone
 /// (unset or empty runs all `n`).
 pub fn cases(name: &str, n: u64, body: impl FnMut(&mut SplitMix64)) {
-    let fixed = std::env::var(SEED_ENV)
-        .ok()
-        .filter(|text| !text.is_empty())
-        .map(|text| {
-            parse_seed(&text).unwrap_or_else(|| panic!("{SEED_ENV}={text:?} is not a u64"))
-        });
+    let fixed = crate::knobs::TEST_SEED.int();
     if let Err((seed, payload)) = run(name, n, fixed, body) {
-        eprintln!("{name}: failed at seed {seed:#x}; re-run with {SEED_ENV}={seed:#x}");
+        eprintln!("{name}: failed at seed {seed:#x}; re-run with ZR_TEST_SEED={seed:#x}");
         panic::resume_unwind(payload);
     }
 }
@@ -108,13 +100,6 @@ fn run(
         panic::catch_unwind(AssertUnwindSafe(|| body(&mut rng))).map_err(|p| (seed, p))?;
     }
     Ok(())
-}
-
-fn parse_seed(text: &str) -> Option<u64> {
-    match text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => text.parse().ok(),
-    }
 }
 
 #[cfg(test)]
@@ -205,10 +190,15 @@ mod tests {
 
     #[test]
     fn seeds_parse_as_decimal_or_hex() {
-        assert_eq!(parse_seed("42"), Some(42));
-        assert_eq!(parse_seed("0x2A"), Some(42));
-        assert_eq!(parse_seed("0XfF"), Some(255));
-        assert_eq!(parse_seed("forty"), None);
-        assert_eq!(parse_seed(""), None);
+        use crate::knobs::{Value, TEST_SEED};
+        let seed = |text: &str| TEST_SEED.parse(text.as_ref());
+        assert_eq!(seed("42"), Ok(Some(Value::Int(42))));
+        assert_eq!(seed("0x2A"), Ok(Some(Value::Int(42))));
+        assert_eq!(seed("0XfF"), Ok(Some(Value::Int(255))));
+        assert_eq!(seed(""), Ok(None));
+        assert_eq!(
+            seed("forty").unwrap_err().to_string(),
+            "invalid configuration: ZR_TEST_SEED=\"forty\" is not a u64 in decimal or 0x hex"
+        );
     }
 }

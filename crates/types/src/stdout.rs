@@ -2,6 +2,7 @@
 //! reading, as in `zr-trace diff a.zrt b.zrt | head`.
 
 use std::io::{self, Write};
+use std::process::ExitCode;
 
 /// Standard output, locked once, that tolerates a reader going away: once
 /// the pipe is closed, the rest of the report is discarded instead of
@@ -26,6 +27,19 @@ impl Stdout {
     /// Whether the reader has gone away.
     pub fn is_closed(&self) -> bool {
         self.closed
+    }
+
+    /// Ends a command: flushes, then returns its exit `status`. A reader
+    /// that went away is not an error; any other failed write is reported
+    /// on stderr as `<command>: cannot write to stdout: ...` and exits 1.
+    pub fn finish(&mut self, command: &str, status: io::Result<ExitCode>) -> ExitCode {
+        match status.and_then(|code| self.flush().map(|()| code)) {
+            Ok(code) => code,
+            Err(e) => {
+                eprintln!("{command}: cannot write to stdout: {e}");
+                ExitCode::FAILURE
+            }
+        }
     }
 }
 

@@ -39,15 +39,6 @@ thread_local! {
 /// `zr-trace`).
 static CURRENT_STACK: zr_par::context::Stack<XrayRecorder> = zr_par::context::Stack::new(&CURRENT);
 
-/// Environment variable activating the global recorder. `1` enables the
-/// capture (exported next to the other telemetry artifacts); any other
-/// non-empty value except `0` both enables it and names the export
-/// directory.
-pub const ENV_XRAY: &str = "ZR_XRAY";
-
-/// Environment variable overriding the per-engine window-bucket cap.
-pub const ENV_XRAY_WINDOWS: &str = "ZR_XRAY_WINDOWS";
-
 /// Default cap on distinct window buckets kept per engine.
 pub const DEFAULT_WINDOW_CAP: u64 = 64;
 
@@ -138,11 +129,6 @@ impl XrayRecorder {
         }
     }
 
-    /// An active in-memory recorder with the environment's window cap.
-    pub fn memory() -> Self {
-        Self::memory_with_cap(window_cap_from_env())
-    }
-
     /// An active in-memory recorder keeping at most `window_cap` window
     /// buckets per engine (clamped to ≥ 1).
     pub fn memory_with_cap(window_cap: u64) -> Self {
@@ -157,11 +143,20 @@ impl XrayRecorder {
     }
 
     /// The process-wide recorder. First access initializes it from
-    /// `ZR_XRAY`; when unset (or `0`/empty) it is the inert
-    /// [`Self::disabled`] instance.
+    /// `ZR_XRAY` (and its window cap from `ZR_XRAY_WINDOWS`); when unset
+    /// (or `0`/empty) it is the inert [`Self::disabled`] instance.
     pub fn global() -> &'static Arc<XrayRecorder> {
         static GLOBAL: OnceLock<Arc<XrayRecorder>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(XrayRecorder::from_env()))
+        GLOBAL.get_or_init(|| {
+            Arc::new(if zr_types::knobs::XRAY.on() {
+                let cap = zr_types::knobs::XRAY_WINDOWS
+                    .int()
+                    .unwrap_or(DEFAULT_WINDOW_CAP);
+                XrayRecorder::memory_with_cap(cap)
+            } else {
+                XrayRecorder::disabled()
+            })
+        })
     }
 
     /// The recorder instrumented components should bind: the innermost
@@ -188,15 +183,6 @@ impl XrayRecorder {
         match self.inner.lock().unwrap().as_ref() {
             Some(inner) => XrayRecorder::memory_with_cap(inner.window_cap),
             None => XrayRecorder::disabled(),
-        }
-    }
-
-    /// Builds a recorder from the environment (see [`Self::global`]).
-    pub fn from_env() -> XrayRecorder {
-        if env_enabled() {
-            XrayRecorder::memory()
-        } else {
-            XrayRecorder::disabled()
         }
     }
 
@@ -408,31 +394,6 @@ impl XrayRecorder {
                 .collect(),
         }
     }
-}
-
-/// Whether `ZR_XRAY` enables the capture (set, non-empty, not `0`).
-pub fn env_enabled() -> bool {
-    std::env::var(ENV_XRAY)
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
-}
-
-/// The export directory named by `ZR_XRAY`, when its value is a path
-/// rather than the bare `1` switch (the caller picks the fallback
-/// directory in that case).
-pub fn export_dir() -> Option<std::path::PathBuf> {
-    std::env::var(ENV_XRAY)
-        .ok()
-        .filter(|v| !v.is_empty() && v != "0" && v != "1")
-        .map(std::path::PathBuf::from)
-}
-
-fn window_cap_from_env() -> u64 {
-    std::env::var(ENV_XRAY_WINDOWS)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_WINDOW_CAP)
 }
 
 /// RAII guard of one [`XrayRecorder::push_current`] override; dropping

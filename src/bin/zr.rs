@@ -8,42 +8,53 @@
 //! zr measure <bench> [alloc%] [row_bytes] [normal|extended]
 //! zr compare <bench> [alloc%]    ZERO-REFRESH vs prior work
 //! ```
+//!
+//! Every env knob is checked before any work. Output goes through
+//! [`Stdout`], so a reader that stops early (`zr info | head`) only cuts
+//! it short.
+
+use std::io::Write;
 
 use zero_refresh_suite::prelude::*;
 use zr_sim::experiments::{energy, priorwork};
 use zr_transform::ValueTransformer;
 use zr_types::geometry::RowIndex;
-use zr_types::TemperatureMode;
+use zr_types::{Stdout, TemperatureMode};
+
+/// What a command returns: a usage or simulation error, or a failed write.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
+
+const USAGE: &str = "\
+zr — ZERO-REFRESH (HPCA 2020) reproduction
+
+  zr info [capacity_mb]          geometry + config summary
+  zr benchmarks                  the modeled workload suite
+  zr traces                      the data-center trace models
+  zr transform <preset> [row]    presets: pointer smallint zero text random
+  zr measure <bench> [alloc%] [row_bytes] [normal|extended]
+  zr compare <bench> [alloc%]    ZERO-REFRESH vs prior work
+";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("info") => info(args.get(1)),
-        Some("benchmarks") => benchmarks(),
-        Some("traces") => traces(),
-        Some("transform") => transform(args.get(1), args.get(2)),
-        Some("measure") => measure(&args[1..]),
-        Some("compare") => compare(&args[1..]),
-        _ => {
-            usage();
-            Ok(())
-        }
-    };
-    if let Err(e) = result {
+    let out = &mut Stdout::new();
+    if let Err(e) = run(&args, out).and_then(|()| Ok(out.flush()?)) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-fn usage() {
-    println!("zr — ZERO-REFRESH (HPCA 2020) reproduction");
-    println!();
-    println!("  zr info [capacity_mb]          geometry + config summary");
-    println!("  zr benchmarks                  the modeled workload suite");
-    println!("  zr traces                      the data-center trace models");
-    println!("  zr transform <preset> [row]    presets: pointer smallint zero text random");
-    println!("  zr measure <bench> [alloc%] [row_bytes] [normal|extended]");
-    println!("  zr compare <bench> [alloc%]    ZERO-REFRESH vs prior work");
+fn run(args: &[String], out: &mut Stdout) -> CmdResult {
+    zr_types::knobs::check()?;
+    match args.first().map(String::as_str) {
+        Some("info") => info(args.get(1), out),
+        Some("benchmarks") => benchmarks(out),
+        Some("traces") => traces(out),
+        Some("transform") => transform(args.get(1), args.get(2), out),
+        Some("measure") => measure(&args[1..], out),
+        Some("compare") => compare(&args[1..], out),
+        _ => Ok(out.write_all(USAGE.as_bytes())?),
+    }
 }
 
 fn experiment(alloc_unused: Option<&String>) -> ExperimentConfig {
@@ -55,7 +66,7 @@ fn experiment(alloc_unused: Option<&String>) -> ExperimentConfig {
     }
 }
 
-fn info(capacity_mb: Option<&String>) -> Result<(), Error> {
+fn info(capacity_mb: Option<&String>, out: &mut Stdout) -> CmdResult {
     let mut cfg = SystemConfig::paper_default();
     if let Some(arg) = capacity_mb {
         let mb: u64 = arg.parse().map_err(|_| {
@@ -67,47 +78,55 @@ fn info(capacity_mb: Option<&String>) -> Result<(), Error> {
     }
     cfg.validate()?;
     let geom = cfg.geometry();
-    println!("ZERO-REFRESH system configuration (Table II, scaled)");
-    println!("  capacity:        {} MiB", geom.capacity_bytes() >> 20);
-    println!(
+    let mib = geom.capacity_bytes() >> 20;
+    writeln!(out, "ZERO-REFRESH system configuration (Table II, scaled)")?;
+    writeln!(out, "  capacity:        {mib} MiB")?;
+    writeln!(
+        out,
         "  organization:    {} chips x {} banks, {} B rank rows",
         geom.num_chips(),
         geom.num_banks(),
         geom.row_bytes()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  rows/bank:       {} ({} per AR set, {} sets)",
         geom.rows_per_bank(),
         geom.ar_rows(),
         geom.ar_sets_per_bank()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  cell blocks:     {} rows per true/anti block",
         cfg.dram.cell_block_rows
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  retention:       {} ms ({:?}), tREFI {:.2} us",
         cfg.timing.t_ret().to_millis(),
         cfg.timing.temperature,
         cfg.timing.t_refi().0 / 1000.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  access-bit SRAM: {} bytes ({} bits)",
         geom.access_bit_count().div_ceil(8),
         geom.access_bit_count()
-    );
+    )?;
     Ok(())
 }
 
-fn benchmarks() -> Result<(), Error> {
-    println!(
+fn benchmarks(out: &mut Stdout) -> CmdResult {
+    writeln!(
+        out,
         "{:<12} {:>7} {:>7} {:>7} {:>9} {:>8}",
         "benchmark", "mpki", "writes", "ws(MB)", "bdi-frac", "exp.red"
-    );
+    )?;
     for b in Benchmark::all() {
         let p = b.profile();
         let w = p.effective_fractions();
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>7.1} {:>6.0}% {:>7} {:>8.0}% {:>7.0}%",
             p.name,
             p.mpki,
@@ -115,25 +134,27 @@ fn benchmarks() -> Result<(), Error> {
             p.working_set_bytes >> 20,
             100.0 * (w[1] + w[2]),
             100.0 * p.expected_reduction(),
-        );
+        )?;
     }
     Ok(())
 }
 
-fn traces() -> Result<(), Error> {
-    println!(
+fn traces(out: &mut Stdout) -> CmdResult {
+    writeln!(
+        out,
         "{:<12} {:>10} {:>8} {:>8} {:>8}",
         "trace", "mean", "p10", "p50", "p90"
-    );
+    )?;
     for t in DatacenterTrace::all() {
-        println!(
+        writeln!(
+            out,
             "{:<12} {:>9.1}% {:>7.1}% {:>7.1}% {:>7.1}%",
             t.name(),
             100.0 * t.mean_utilization(),
             100.0 * t.quantile(0.1),
             100.0 * t.quantile(0.5),
             100.0 * t.quantile(0.9),
-        );
+        )?;
     }
     Ok(())
 }
@@ -173,7 +194,7 @@ fn preset_line(preset: &str) -> Result<[u8; 64], Error> {
     Ok(line)
 }
 
-fn transform(preset: Option<&String>, row: Option<&String>) -> Result<(), Error> {
+fn transform(preset: Option<&String>, row: Option<&String>, out: &mut Stdout) -> CmdResult {
     let preset = preset.map(String::as_str).unwrap_or("pointer");
     let cfg = SystemConfig::paper_default();
     let row = match row {
@@ -186,7 +207,8 @@ fn transform(preset: Option<&String>, row: Option<&String>) -> Result<(), Error>
             if row >= rows {
                 return Err(Error::invalid_config(format!(
                     "row={row} is out of range: a bank has {rows} rows"
-                )));
+                ))
+                .into());
             }
             RowIndex(row)
         }
@@ -197,24 +219,25 @@ fn transform(preset: Option<&String>, row: Option<&String>) -> Result<(), Error>
     let zeros_before = line.iter().filter(|&&b| b == 0).count();
     let pattern = tf.cell_type(row).discharged_byte();
     let discharged = encoded.iter().filter(|&&b| b == pattern).count();
-    println!(
+    writeln!(
+        out,
         "preset '{preset}' stored in row {} ({:?} cells):",
         row.0,
         tf.cell_type(row)
-    );
-    println!("  original  zero bytes: {zeros_before}/64");
-    println!("  encoded   discharged bytes: {discharged}/64");
+    )?;
+    writeln!(out, "  original  zero bytes: {zeros_before}/64")?;
+    writeln!(out, "  encoded   discharged bytes: {discharged}/64")?;
     for (c, seg) in encoded.chunks_exact(8).enumerate() {
         let disch = seg.iter().all(|&b| b == pattern);
-        print!("  chip {c}: ");
+        write!(out, "  chip {c}: ")?;
         for b in seg {
-            print!("{b:02x} ");
+            write!(out, "{b:02x} ")?;
         }
-        println!("{}", if disch { " <- discharged" } else { "" });
+        writeln!(out, "{}", if disch { " <- discharged" } else { "" })?;
     }
     let back = tf.decode(&encoded, row)?;
     assert_eq!(back, line.to_vec());
-    println!("  inverse verified: decode(encode(x)) == x");
+    writeln!(out, "  inverse verified: decode(encode(x)) == x")?;
     Ok(())
 }
 
@@ -267,48 +290,54 @@ fn parse_measure_args(args: &[String]) -> Result<(Benchmark, f64, ExperimentConf
     Ok((benchmark, alloc, exp))
 }
 
-fn measure(args: &[String]) -> Result<(), Error> {
+fn measure(args: &[String], out: &mut Stdout) -> CmdResult {
     let (benchmark, alloc, exp) = parse_measure_args(args)?;
     let e = energy::measure(benchmark, alloc, &exp)?;
-    println!(
+    writeln!(
+        out,
         "{} @ {:.0}% alloc, {} B rows, {:?}:",
         benchmark.name(),
         100.0 * alloc,
         exp.row_bytes,
         exp.temperature
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  refresh ops:  {:.3} normalized ({:.1}% reduction)",
         e.normalized_refreshes,
         100.0 * (1.0 - e.normalized_refreshes)
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  energy:       {:.3} normalized ({:.1}% saved, overheads included)",
         e.normalized_energy,
         100.0 * (1.0 - e.normalized_energy)
-    );
+    )?;
     Ok(())
 }
 
-fn compare(args: &[String]) -> Result<(), Error> {
+fn compare(args: &[String], out: &mut Stdout) -> CmdResult {
     let (benchmark, alloc, _) = parse_measure_args(args)?;
     let exp = experiment(None);
     let c = priorwork::compare(benchmark, alloc, &exp)?;
-    println!(
+    writeln!(
+        out,
         "{} @ {:.0}% alloc — normalized refresh operations:",
         c.benchmark,
         100.0 * alloc
-    );
-    println!("  zero-refresh:    {:.3}", c.zero_refresh);
-    println!(
+    )?;
+    writeln!(out, "  zero-refresh:    {:.3}", c.zero_refresh)?;
+    writeln!(
+        out,
         "  zib:             {:.3}  (+{:.1}% DRAM capacity overhead)",
         c.zib,
         100.0 * c.zib_overhead
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  validity oracle: {:.3}  (needs OS-DRAM interface)",
         c.validity_oracle
-    );
-    println!("  smart refresh:   {:.3}  (at 32 GB)", c.smart_refresh);
+    )?;
+    writeln!(out, "  smart refresh:   {:.3}  (at 32 GB)", c.smart_refresh)?;
     Ok(())
 }

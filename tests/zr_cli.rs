@@ -3,7 +3,7 @@
 //! one-line error naming the argument and exit status 1, instead of
 //! running with a default in its place.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `zr <args>` and returns its exit code, stdout and stderr.
 fn zr(args: &[&str]) -> (Option<i32>, String, String) {
@@ -157,6 +157,40 @@ fn valid_transform_call_is_reported() {
         assert!(
             stdout.ends_with("  inverse verified: decode(encode(x)) == x\n"),
             "{stdout}"
+        );
+    }
+}
+
+/// `zr info | head`: a reader that goes away ends the output quietly and
+/// `zr` keeps its own exit status instead of dying in a broken-pipe panic
+/// (exit 101).
+#[test]
+fn output_into_a_closed_pipe_keeps_the_exit_status() {
+    for (args, code) in [
+        (&["info"][..], 0),
+        (&["transform", "pointer"], 0),
+        (&["benchmarks"], 0),
+        (&["transform", "nosuch"], 1),
+    ] {
+        // The read end is closed before the process starts, so the very
+        // first write fails with `EPIPE`.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_zr"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn zr");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            !stderr.contains("panicked"),
+            "zr {args:?} panicked: {stderr}"
+        );
+        assert_eq!(
+            output.status.code(),
+            Some(code),
+            "zr {args:?}: stderr {stderr}"
         );
     }
 }
