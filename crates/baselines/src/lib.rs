@@ -11,9 +11,10 @@
 //! - **Zero-indicator bits** ([`zib::ZibModel`]) skip refreshes for
 //!   naturally all-zero rows without any transformation, paying 1/8–1/32
 //!   of the DRAM capacity in indicator bits (Patel et al.).
-//! - A **validity oracle** ([`validity::ValidityOracle`]) models the
-//!   SRA/ESKIMO/PARIS family: perfect allocation knowledge through a new
-//!   OS↔DRAM interface.
+//! - The **validity oracle** of the SRA/ESKIMO/PARIS family, perfect
+//!   allocation knowledge through a new OS↔DRAM interface, needs no model:
+//!   it refreshes exactly the allocated fraction, which
+//!   `zr_sim::experiments::priorwork` takes directly.
 //! - The **naive full-SRAM tracker** ablation is provided by
 //!   [`zr_dram::RefreshPolicy::NaiveSram`].
 
@@ -21,10 +22,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod smart_refresh;
-pub mod validity;
 pub mod zib;
 
 pub use smart_refresh::SmartRefresh;
-pub use validity::ValidityOracle;
 pub use zib::ZibModel;
 pub use zr_dram::RefreshPolicy;

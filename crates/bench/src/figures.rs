@@ -26,7 +26,7 @@ pub fn table1_traces() -> Vec<(String, f64)> {
         report::row(t.name(), &[m]);
         out.push((t.name().to_string(), m));
     }
-    println!("(paper: google 70%, alibaba 88%, bitbrains 28%)");
+    report::line("(paper: google 70%, alibaba 88%, bitbrains 28%)");
     report::write_json("table1_traces", &out);
     out
 }
@@ -47,7 +47,7 @@ pub fn fig4_refresh_power() -> Vec<(u32, f64, f64)> {
         report::row(&format!("{d}"), &[normal, hot]);
         out.push((d, normal, hot));
     }
-    println!("(paper: refresh exceeds half of device power at 16 Gb / 32 ms)");
+    report::line("(paper: refresh exceeds half of device power at 16 Gb / 32 ms)");
     report::write_json("fig4_refresh_power", &out);
     out
 }
@@ -82,7 +82,7 @@ pub fn fig6_zero_fraction(exp: &ExperimentConfig) -> Result<Vec<zeros::ZeroMeasu
     }
     let (kb, byte) = zeros::means(&sweep);
     report::row("mean", &[kb, byte]);
-    println!("(paper means: ~2.3% of 1KB blocks, ~43% of bytes)");
+    report::line("(paper means: ~2.3% of 1KB blocks, ~43% of bytes)");
     report::write_json("fig6_zero_fraction", &sweep);
     Ok(sweep)
 }
@@ -115,7 +115,7 @@ pub fn fig14_refresh_reduction_for(
     report::columns("benchmark", &["100%", "88%", "70%", "28%"]);
     let table = refresh::allocation_sweep(benches, &refresh::PAPER_ALLOCS, exp)?;
     print_table(benches, &table);
-    println!("(paper means: 0.629 / 0.54 / 0.43 / 0.17 — i.e. 37/46/57/83% reduction)");
+    report::line("(paper means: 0.629 / 0.54 / 0.43 / 0.17 — i.e. 37/46/57/83% reduction)");
     let rows = named_rows(benches, &table);
     report::write_json("fig14_refresh_reduction", &rows);
     Ok(rows)
@@ -144,7 +144,7 @@ pub fn fig15_energy_for(
     report::columns("benchmark", &["100%", "88%", "70%", "28%"]);
     let table = energy::allocation_sweep(benches, &refresh::PAPER_ALLOCS, exp)?;
     print_table(benches, &table);
-    println!("(paper means: 0.635 / 0.56 / 0.45 / 0.18 — 36.5/44/55/82% saved)");
+    report::line("(paper means: 0.635 / 0.56 / 0.45 / 0.18 — 36.5/44/55/82% saved)");
     let rows = named_rows(benches, &table);
     report::write_json("fig15_energy", &rows);
     Ok(rows)
@@ -174,7 +174,7 @@ pub fn fig16_temperature_for(
     report::columns("benchmark", &["32ms", "64ms"]);
     let table = refresh::temperature_sweep(benches, exp)?;
     print_table(benches, &table);
-    println!("(paper: ~4.4 pp less reduction at normal temperature)");
+    report::line("(paper: ~4.4 pp less reduction at normal temperature)");
     let out: Vec<(String, f64, f64)> = benches
         .iter()
         .zip(&table)
@@ -235,7 +235,7 @@ pub fn fig17_ipc(exp: &ExperimentConfig) -> Result<Vec<ipc::IpcMeasurement>> {
             f64::NAN,
         ],
     );
-    println!("(paper: +5.7% mean, max +10.8% gemsFDTD, min +0.3% gobmk)");
+    report::line("(paper: +5.7% mean, max +10.8% gemsFDTD, min +0.3% gobmk)");
     report::write_json("fig17_ipc", &sweep);
     report::write_json("fig17_ipc_event", &events);
     Ok(sweep)
@@ -255,7 +255,7 @@ pub fn fig18_row_size(exp: &ExperimentConfig) -> Result<Vec<(String, [f64; 3])>>
         Ok(sweep.iter().map(|(_, m)| m.normalized).collect())
     })?;
     print_table(benches, &table);
-    println!("(paper mean reductions: 46.3% / 37.7% / 33.9%)");
+    report::line("(paper mean reductions: 46.3% / 37.7% / 33.9%)");
     let rows = named_rows(benches, &table);
     report::write_json("fig18_row_size", &rows);
     Ok(rows)
@@ -279,7 +279,7 @@ pub fn fig19_scalability(exp: &ExperimentConfig) -> Result<Vec<scalability::Scal
             &[p.smart_normalized, p.zero_normalized, q.zero_normalized],
         );
     }
-    println!("(paper: smart degrades 52.6% -> 94.1% for mcf; zero stays flat)");
+    report::line("(paper: smart degrades 52.6% -> 94.1% for mcf; zero stays flat)");
     report::write_json("fig19_scalability", &flat);
     report::write_json("fig19_scalability_idle30", &idle);
     Ok(flat)
@@ -318,7 +318,7 @@ pub fn table_overheads() -> Vec<(u64, u64, u64, f64, f64)> {
             sram::leakage(access_bytes).0,
         ));
     }
-    println!("(paper at 32GB: naive 1MB / 337.14mW vs 8KB / 2.71mW, 0.076mm^2)");
+    report::line("(paper at 32GB: naive 1MB / 337.14mW vs 8KB / 2.71mW, 0.076mm^2)");
     report::write_json("table_overheads", &out);
     out
 }
@@ -405,19 +405,19 @@ pub fn ablations(exp: &ExperimentConfig) -> Result<Vec<(String, f64)>> {
         report::row(name, &[norm, 1.0 - norm]);
         out.push((name.to_string(), norm));
     }
-    println!("notes:");
-    println!("  no-bitplane  — without transposition the non-zero delta bytes stay");
-    println!("                 scattered one-per-word, so only zero pages skip.");
-    println!("  no-rotation  — per-chip-row skip counts are rotation-invariant; the");
-    println!("                 rotation aligns discharged rows into common refresh");
-    println!("                 groups (Sec. V-D), which matters for command timing,");
-    println!("                 not for the energy/ops metric shown here.");
-    println!("  cell-obliv.  — anti-cell rows (half the device) store logical zeros");
-    println!("                 charged and lose their skip opportunity.");
-    println!("  naive-sram   — the DIMM-level table only sees rank-rows, so rows");
-    println!("                 holding any base/delta chip segment never qualify;");
-    println!("                 per-chip in-DRAM status tracking is what makes the");
-    println!("                 transformed layout skippable at all.");
+    report::line("notes:");
+    report::line("  no-bitplane  — without transposition the non-zero delta bytes stay");
+    report::line("                 scattered one-per-word, so only zero pages skip.");
+    report::line("  no-rotation  — per-chip-row skip counts are rotation-invariant; the");
+    report::line("                 rotation aligns discharged rows into common refresh");
+    report::line("                 groups (Sec. V-D), which matters for command timing,");
+    report::line("                 not for the energy/ops metric shown here.");
+    report::line("  cell-obliv.  — anti-cell rows (half the device) store logical zeros");
+    report::line("                 charged and lose their skip opportunity.");
+    report::line("  naive-sram   — the DIMM-level table only sees rank-rows, so rows");
+    report::line("                 holding any base/delta chip segment never qualify;");
+    report::line("                 per-chip in-DRAM status tracking is what makes the");
+    report::line("                 transformed layout skippable at all.");
     Ok(out)
 }
 
@@ -437,7 +437,7 @@ pub fn datacenter_scenarios(exp: &ExperimentConfig) -> Result<Vec<datacenter::Sc
             &[r.mean_allocated, r.mean_normalized, 1.0 - r.mean_normalized],
         );
     }
-    println!("(paper: 46% / 57% / 83% reduction for alibaba/google/bitbrains)");
+    report::line("(paper: 46% / 57% / 83% reduction for alibaba/google/bitbrains)");
     report::write_json("datacenter_scenarios", &results);
     Ok(results)
 }
@@ -475,7 +475,7 @@ pub fn word_size_ablation(exp: &ExperimentConfig) -> Result<Vec<(usize, f64)>> {
         report::row(&format!("{word_bytes}B"), &[norm, 1.0 - norm]);
         out.push((word_bytes, norm));
     }
-    println!("(the paper evaluates 8-byte words; smaller words shorten deltas)");
+    report::line("(the paper evaluates 8-byte words; smaller words shorten deltas)");
     report::write_json("word_size_ablation", &out);
     Ok(out)
 }
@@ -507,12 +507,12 @@ pub fn prior_work(exp: &ExperimentConfig) -> Result<Vec<priorwork::PriorWorkComp
             &[c.zero_refresh, c.zib, c.validity_oracle, c.smart_refresh],
         );
     }
-    println!("notes:");
-    println!("  zib    — zero-indicator bits on the raw image; pays 12.5% of DRAM");
-    println!("           capacity in indicator bits and harvests only natural zeros.");
-    println!("  oracle — perfect allocation knowledge (SRA/ESKIMO/PARIS family);");
-    println!("           needs a new OS-DRAM interface and never skips allocated rows.");
-    println!("  smart  — access-recency skipping at the reference 32 GB capacity.");
+    report::line("notes:");
+    report::line("  zib    — zero-indicator bits on the raw image; pays 12.5% of DRAM");
+    report::line("           capacity in indicator bits and harvests only natural zeros.");
+    report::line("  oracle — perfect allocation knowledge (SRA/ESKIMO/PARIS family);");
+    report::line("           needs a new OS-DRAM interface and never skips allocated rows.");
+    report::line("  smart  — access-recency skipping at the reference 32 GB capacity.");
     report::write_json("prior_work", &out);
     Ok(out)
 }

@@ -2,51 +2,49 @@
 //! optional JSON emission: when `ZR_TELEMETRY=<dir>` names a directory,
 //! each figure's data is written as `<dir>/<name>.json` and the attempt
 //! is recorded as a [`zr_telemetry::Event::ReportWrite`] event.
+//!
+//! Every report line goes through [`Stdout`], so a figure binary whose
+//! reader goes away (`fig4_refresh_power | head -3`) finishes its run and
+//! keeps its exit status instead of dying in a broken-pipe panic.
 
+use std::fmt::Display;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use zr_telemetry::{Event, Telemetry};
 use zr_types::json::ToJson;
+use zr_types::Stdout;
 
 /// Longest title/rule the header prints before truncating.
 const HEADER_WIDTH: usize = 100;
+
+/// Prints one report line. Once the reader has gone away the line is
+/// dropped; any other write error panics, as `println!` does.
+pub fn line(text: impl Display) {
+    writeln!(Stdout::new(), "{text}").expect("failed printing to stdout");
+}
 
 /// Prints a report header with a rule line. Both the title and the rule
 /// are clamped to the same width so they always line up.
 pub fn header(title: &str) {
     let shown: String = title.chars().take(HEADER_WIDTH).collect();
-    println!();
-    println!("{shown}");
-    println!("{}", "=".repeat(shown.chars().count()));
+    line("");
+    line(&shown);
+    line("=".repeat(shown.chars().count()));
 }
 
 /// Prints a table row: a left-aligned label plus fixed-width numeric
 /// cells.
 pub fn row(label: &str, cells: &[f64]) {
-    print!("{label:<14}");
-    for c in cells {
-        print!(" {c:>8.3}");
-    }
-    println!();
-}
-
-/// Prints a table row with string cells.
-pub fn row_str(label: &str, cells: &[String]) {
-    print!("{label:<14}");
-    for c in cells {
-        print!(" {c:>8}");
-    }
-    println!();
+    let cells_text: String = cells.iter().map(|c| format!(" {c:>8.3}")).collect();
+    line(format_args!("{label:<14}{cells_text}"));
 }
 
 /// Prints the column header line.
 pub fn columns(label: &str, names: &[&str]) {
-    print!("{label:<14}");
-    for n in names {
-        print!(" {n:>8}");
-    }
-    println!();
-    println!("{}", "-".repeat(14 + 9 * names.len()));
+    let names_text: String = names.iter().map(|n| format!(" {n:>8}")).collect();
+    line(format_args!("{label:<14}{names_text}"));
+    line("-".repeat(14 + 9 * names.len()));
 }
 
 /// The report text of `data`: pretty JSON in serde_json's layout (no

@@ -7,14 +7,14 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use zr_dram::{DramRank, RefreshEngine, RefreshGranularity, RefreshPolicy};
+use zr_dram::{DramRank, RefreshEngine, RefreshPolicy};
 use zr_telemetry::Telemetry;
 use zr_trace::{parse_trace, TraceRecorder};
 use zr_types::geometry::{BankId, RowIndex};
 use zr_types::rng::SplitMix64;
 use zr_types::{Result, SystemConfig};
 
-use crate::oracle::{OracleGranularity, OraclePolicy, RefOracle};
+use crate::oracle::{OraclePolicy, RefOracle};
 
 /// One step of a differential command sequence. Commands address the
 /// geometry symbolically (bank/row/set indices) so the same sequence is
@@ -57,7 +57,7 @@ pub enum Command {
         /// AR set index.
         set: u64,
     },
-    /// One full retention window at the configured granularity.
+    /// One full retention window.
     RunWindow,
 }
 
@@ -66,8 +66,6 @@ pub enum Command {
 pub struct DiffSetup {
     /// Refresh policy for both sides.
     pub policy: RefreshPolicy,
-    /// AR granularity for both sides.
-    pub granularity: RefreshGranularity,
     /// Fault injection on the production engine's staggered schedule.
     pub engine_skew: u64,
     /// Fault injection on the oracle's staggered schedule.
@@ -79,7 +77,6 @@ impl DiffSetup {
     pub fn clean(policy: RefreshPolicy) -> Self {
         DiffSetup {
             policy,
-            granularity: RefreshGranularity::PerBank,
             engine_skew: 0,
             oracle_skew: 0,
         }
@@ -168,13 +165,6 @@ fn oracle_policy(policy: RefreshPolicy) -> OraclePolicy {
     }
 }
 
-fn oracle_granularity(granularity: RefreshGranularity) -> OracleGranularity {
-    match granularity {
-        RefreshGranularity::PerBank => OracleGranularity::PerBank,
-        RefreshGranularity::AllBank => OracleGranularity::AllBank,
-    }
-}
-
 /// Builds the chip-major payload of a [`Command::WriteLine`]: chips in
 /// `chip_mask` carry a charged byte derived from `fill_seed`, the rest
 /// the row's discharged pattern.
@@ -218,17 +208,15 @@ pub fn run_differential(
     let mut engine = {
         let _telemetry = Telemetry::push_current(Arc::new(Telemetry::new()));
         let _trace = TraceRecorder::push_current(Arc::clone(&recorder));
-        RefreshEngine::with_granularity(config, setup.policy, setup.granularity)?
+        RefreshEngine::new(config, setup.policy)?
     };
     engine.set_stagger_skew(setup.engine_skew);
     let mut oracle = RefOracle::new(config, oracle_policy(setup.policy));
     oracle.stagger_skew = setup.oracle_skew;
-    let granularity = oracle_granularity(setup.granularity);
 
     let setup_text = format!(
-        "policy={:?} granularity={:?} engine_skew={} oracle_skew={} banks={} rows/bank={} chips={}",
+        "policy={:?} engine_skew={} oracle_skew={} banks={} rows/bank={} chips={}",
         setup.policy,
-        setup.granularity,
         setup.engine_skew,
         setup.oracle_skew,
         oracle.banks(),
@@ -327,7 +315,7 @@ pub fn run_differential(
             }
             Command::RunWindow => {
                 let actual = engine.run_window(&mut rank);
-                let expected = oracle.run_window(granularity);
+                let expected = oracle.run_window();
                 let pairs = [
                     (
                         "rows_refreshed",

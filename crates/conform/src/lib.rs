@@ -35,5 +35,5 @@ pub mod transform_oracle;
 
 pub use diff::{generate_commands, run_differential, Command, DiffSetup, DivergenceReport};
 pub use golden::{check as golden_check, Tolerance};
-pub use oracle::{OracleGranularity, OraclePolicy, RefOracle};
+pub use oracle::{OraclePolicy, RefOracle};
 pub use transform_oracle::{all_transform_configs, ContentFamily};

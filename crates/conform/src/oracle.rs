@@ -36,15 +36,6 @@ pub enum OraclePolicy {
     NaiveSram,
 }
 
-/// AR command granularity the oracle models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OracleGranularity {
-    /// One command per (bank, AR set).
-    PerBank,
-    /// One command per AR set covering every bank.
-    AllBank,
-}
-
 /// What one reference AR command did; field-for-field comparable with the
 /// production `ArOutcome`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,10 +67,10 @@ pub struct OracleWindow {
 }
 
 impl OracleWindow {
-    fn add(&mut self, out: &OracleOutcome, commands: u64) {
+    fn add(&mut self, out: &OracleOutcome) {
         self.rows_refreshed += out.rows_refreshed;
         self.rows_skipped += out.rows_skipped;
-        self.ar_commands += commands;
+        self.ar_commands += 1;
         self.table_reads += out.table_reads;
         self.table_writes += out.table_writes;
     }
@@ -334,28 +325,14 @@ impl RefOracle {
         out
     }
 
-    /// One full reference retention window at the given granularity.
-    pub fn run_window(&mut self, granularity: OracleGranularity) -> OracleWindow {
+    /// One full reference retention window: one per-bank command for
+    /// every AR set of every bank.
+    pub fn run_window(&mut self) -> OracleWindow {
         let mut window = OracleWindow::default();
         for set in 0..self.ar_sets {
-            match granularity {
-                OracleGranularity::PerBank => {
-                    for bank in 0..self.banks {
-                        let out = self.process_ar(bank, set);
-                        window.add(&out, 1);
-                    }
-                }
-                OracleGranularity::AllBank => {
-                    let mut combined = OracleOutcome::default();
-                    for bank in 0..self.banks {
-                        let out = self.process_ar(bank, set);
-                        combined.rows_refreshed += out.rows_refreshed;
-                        combined.rows_skipped += out.rows_skipped;
-                        combined.table_reads += out.table_reads;
-                        combined.table_writes += out.table_writes;
-                    }
-                    window.add(&combined, 1);
-                }
+            for bank in 0..self.banks {
+                let out = self.process_ar(bank, set);
+                window.add(&out);
             }
         }
         window
@@ -404,10 +381,10 @@ mod tests {
     fn first_window_scans_second_skips_everything() {
         let mut o = oracle(OraclePolicy::ChargeAware);
         let total = o.rows_per_bank() * o.banks() * o.chips();
-        let w1 = o.run_window(OracleGranularity::PerBank);
+        let w1 = o.run_window();
         assert_eq!(w1.rows_refreshed, total);
         assert_eq!(w1.rows_skipped, 0);
-        let w2 = o.run_window(OracleGranularity::PerBank);
+        let w2 = o.run_window();
         assert_eq!(w2.rows_skipped, total);
         assert_eq!(w2.table_writes, 0);
     }
@@ -415,19 +392,19 @@ mod tests {
     #[test]
     fn charged_then_discharged_slot_restores_the_skip() {
         let mut o = oracle(OraclePolicy::ChargeAware);
-        o.run_window(OracleGranularity::PerBank);
+        o.run_window();
         let line_len = 64;
         let charged = vec![0xABu8; line_len];
         o.write_line(0, 2, 0, &charged);
         o.note_write(0, 2);
-        let w = o.run_window(OracleGranularity::PerBank);
+        let w = o.run_window();
         assert!(w.rows_refreshed > 0);
         // Overwrite the same slot with the discharged pattern.
         let discharged = vec![0x00u8; line_len];
         o.write_line(0, 2, 0, &discharged);
         o.note_write(0, 2);
-        o.run_window(OracleGranularity::PerBank); // rescans
-        let w = o.run_window(OracleGranularity::PerBank);
+        o.run_window(); // rescans
+        let w = o.run_window();
         assert_eq!(w.rows_refreshed, 0);
     }
 
@@ -435,7 +412,7 @@ mod tests {
     fn naive_mirror_skips_from_power_up() {
         let mut o = oracle(OraclePolicy::NaiveSram);
         let total = o.rows_per_bank() * o.banks() * o.chips();
-        let w = o.run_window(OracleGranularity::PerBank);
+        let w = o.run_window();
         assert_eq!(w.rows_skipped, total);
     }
 
@@ -443,24 +420,8 @@ mod tests {
     fn spared_rows_never_skip() {
         let mut o = oracle(OraclePolicy::ChargeAware);
         o.spare(0, 1);
-        o.run_window(OracleGranularity::PerBank);
-        let w = o.run_window(OracleGranularity::PerBank);
+        o.run_window();
+        let w = o.run_window();
         assert_eq!(w.rows_refreshed, o.chips());
-    }
-
-    #[test]
-    fn allbank_matches_perbank_rows_with_fewer_commands() {
-        let mut per = oracle(OraclePolicy::ChargeAware);
-        let mut all = per.clone();
-        let charged = vec![0x11u8; 64];
-        for o in [&mut per, &mut all] {
-            o.write_line(1, 3, 2, &charged);
-            o.note_write(1, 3);
-        }
-        let wp = per.run_window(OracleGranularity::PerBank);
-        let wa = all.run_window(OracleGranularity::AllBank);
-        assert_eq!(wp.rows_refreshed, wa.rows_refreshed);
-        assert_eq!(wp.rows_skipped, wa.rows_skipped);
-        assert_eq!(wp.ar_commands, wa.ar_commands * per.banks());
     }
 }

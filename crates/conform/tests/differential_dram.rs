@@ -1,12 +1,12 @@
 //! Differential fuzz of `zr-dram` against the reference oracle.
 //!
 //! The seeded sweep below runs 256 reproducible cases, each a random
-//! geometry variant, policy, granularity and command sequence (re-run
-//! one case with `ZR_TEST_SEED`). On any divergence the test panics with
-//! the full report after persisting it for CI artifact upload.
+//! geometry variant, policy and command sequence (re-run one case with
+//! `ZR_TEST_SEED`). On any divergence the test panics with the full
+//! report after persisting it for CI artifact upload.
 
 use zr_conform::diff::{generate_commands, run_differential, Command, DiffSetup};
-use zr_dram::{RefreshGranularity, RefreshPolicy};
+use zr_dram::RefreshPolicy;
 use zr_types::rng::cases;
 use zr_types::{DramConfig, SystemConfig};
 
@@ -40,16 +40,7 @@ fn seeded_sequences_agree() {
     let variants = config_variants();
     cases("seeded_sequences_agree", 256, |rng| {
         let config = &variants[rng.below(variants.len() as u64) as usize];
-        let setup = DiffSetup {
-            policy: policies()[rng.below(3) as usize],
-            granularity: if rng.chance(0.5) {
-                RefreshGranularity::AllBank
-            } else {
-                RefreshGranularity::PerBank
-            },
-            engine_skew: 0,
-            oracle_skew: 0,
-        };
+        let setup = DiffSetup::clean(policies()[rng.below(3) as usize]);
         let seed = rng.next_u64();
         let commands = generate_commands(config, seed, 8 + rng.below(40) as usize);
         let report = run_differential(config, &setup, &commands)
@@ -99,7 +90,6 @@ fn injected_stagger_off_by_one_is_caught_with_command_index() {
 
     let faulty = DiffSetup {
         policy: RefreshPolicy::ChargeAware,
-        granularity: RefreshGranularity::PerBank,
         engine_skew: 1,
         oracle_skew: 0,
     };
@@ -152,7 +142,6 @@ fn oracle_side_skew_is_caught_too() {
     }
     let setup = DiffSetup {
         policy: RefreshPolicy::ChargeAware,
-        granularity: RefreshGranularity::PerBank,
         engine_skew: 0,
         oracle_skew: 3,
     };
@@ -173,7 +162,6 @@ fn matching_skews_cancel_out() {
     let commands = generate_commands(&config, 99, 40);
     let setup = DiffSetup {
         policy: RefreshPolicy::ChargeAware,
-        granularity: RefreshGranularity::PerBank,
         engine_skew: 2,
         oracle_skew: 2,
     };
@@ -193,7 +181,6 @@ fn conventional_policy_is_skew_insensitive() {
     let commands = generate_commands(&config, 7, 32);
     let setup = DiffSetup {
         policy: RefreshPolicy::Conventional,
-        granularity: RefreshGranularity::PerBank,
         engine_skew: 5,
         oracle_skew: 0,
     };

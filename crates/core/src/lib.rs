@@ -25,13 +25,14 @@
 //! # Examples
 //!
 //! ```
-//! use zero_refresh::{ZeroRefreshSystem, SystemConfig};
+//! use zero_refresh::{SystemConfig, ZeroRefreshSystem};
+//! use zr_types::geometry::LineAddr;
 //!
 //! let mut sys = ZeroRefreshSystem::new(&SystemConfig::small_test())?;
 //!
 //! // Ordinary memory traffic: the transformation is transparent.
-//! sys.write_bytes(0, &[0xAB; 128])?;
-//! assert_eq!(sys.read_bytes(0, 128)?, vec![0xAB; 128]);
+//! sys.write_line(LineAddr(0), &[0xAB; 64])?;
+//! assert_eq!(sys.read_line(LineAddr(0))?, vec![0xAB; 64]);
 //!
 //! // Refresh: after the initial scan window, idle (cleansed) memory
 //! // stops being refreshed.
@@ -46,7 +47,7 @@
 
 pub mod system;
 
-pub use system::{RefreshSummary, ZeroRefreshSystem, ZeroRefreshSystemBuilder};
+pub use system::{RefreshSummary, ZeroRefreshSystem};
 
 pub use zr_dram::{RefreshPolicy, WindowStats};
 pub use zr_energy::{EnergyAccountant, EnergyBreakdown};

@@ -2,7 +2,7 @@
 
 use zr_dram::{RefreshPolicy, WindowStats};
 use zr_energy::{EnergyAccountant, EnergyBreakdown};
-use zr_memctrl::{AccessStats, MemoryController};
+use zr_memctrl::MemoryController;
 use zr_types::geometry::LineAddr;
 use zr_types::units::Picojoules;
 use zr_types::{Geometry, Result, SystemConfig, TemperatureMode};
@@ -111,11 +111,6 @@ impl ZeroRefreshSystem {
         Ok(())
     }
 
-    /// Starts a [`ZeroRefreshSystemBuilder`] from the paper's defaults.
-    pub fn builder() -> ZeroRefreshSystemBuilder {
-        ZeroRefreshSystemBuilder::default()
-    }
-
     /// The configuration the system was built with.
     pub fn config(&self) -> &SystemConfig {
         &self.config
@@ -136,11 +131,6 @@ impl ZeroRefreshSystem {
         &mut self.controller
     }
 
-    /// Read/write traffic counters.
-    pub fn access_stats(&self) -> AccessStats {
-        self.controller.stats()
-    }
-
     /// Writes one cacheline at line address `addr`.
     ///
     /// # Errors
@@ -157,24 +147,6 @@ impl ZeroRefreshSystem {
     /// Propagates the controller's address errors.
     pub fn read_line(&mut self, addr: LineAddr) -> Result<Vec<u8>> {
         self.controller.read_line(addr)
-    }
-
-    /// Writes a line-aligned byte buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the controller's alignment/address errors.
-    pub fn write_bytes(&mut self, byte_addr: u64, data: &[u8]) -> Result<()> {
-        self.controller.write_bytes(byte_addr, data)
-    }
-
-    /// Reads a line-aligned byte range.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the controller's alignment/address errors.
-    pub fn read_bytes(&mut self, byte_addr: u64, len: usize) -> Result<Vec<u8>> {
-        self.controller.read_bytes(byte_addr, len)
     }
 
     /// Zero-fills a range of cachelines (the OS cleansing path of §III-B).
@@ -243,86 +215,6 @@ impl ZeroRefreshSystem {
     }
 }
 
-/// Builder for [`ZeroRefreshSystem`] (capacity, row size, temperature,
-/// policy and transformation-stage toggles over the paper defaults).
-///
-/// # Examples
-///
-/// ```
-/// use zero_refresh::{RefreshPolicy, TemperatureMode, ZeroRefreshSystem};
-///
-/// let sys = ZeroRefreshSystem::builder()
-///     .capacity_bytes(64 << 20)
-///     .row_bytes(2048)
-///     .temperature(TemperatureMode::Normal)
-///     .policy(RefreshPolicy::ChargeAware)
-///     .build()?;
-/// assert_eq!(sys.geometry().row_bytes(), 2048);
-/// # Ok::<(), zero_refresh::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ZeroRefreshSystemBuilder {
-    config: SystemConfig,
-    policy: RefreshPolicy,
-}
-
-impl Default for ZeroRefreshSystemBuilder {
-    fn default() -> Self {
-        ZeroRefreshSystemBuilder {
-            config: SystemConfig::paper_default(),
-            policy: RefreshPolicy::ChargeAware,
-        }
-    }
-}
-
-impl ZeroRefreshSystemBuilder {
-    /// Sets the simulated capacity in bytes.
-    pub fn capacity_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.config.dram.capacity_bytes = bytes;
-        self
-    }
-
-    /// Sets the rank-row (row buffer) size in bytes.
-    pub fn row_bytes(&mut self, bytes: usize) -> &mut Self {
-        self.config.dram.row_bytes = bytes;
-        self
-    }
-
-    /// Sets the temperature mode (retention window).
-    pub fn temperature(&mut self, mode: TemperatureMode) -> &mut Self {
-        self.config.timing.temperature = mode;
-        self
-    }
-
-    /// Sets the refresh policy.
-    pub fn policy(&mut self, policy: RefreshPolicy) -> &mut Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Toggles the transformation stages (for ablations).
-    pub fn transform(&mut self, transform: zr_types::TransformConfig) -> &mut Self {
-        self.config.transform = transform;
-        self
-    }
-
-    /// Replaces the whole configuration.
-    pub fn config(&mut self, config: SystemConfig) -> &mut Self {
-        self.config = config;
-        self
-    }
-
-    /// Builds the system.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`zr_types::Error::InvalidConfig`] if the accumulated
-    /// configuration does not validate.
-    pub fn build(&self) -> Result<ZeroRefreshSystem> {
-        ZeroRefreshSystem::with_policy(&self.config, self.policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,12 +223,21 @@ mod tests {
         ZeroRefreshSystem::new(&SystemConfig::small_test()).unwrap()
     }
 
+    /// Writes `data` as consecutive cachelines from line `first` on.
+    fn write_lines(s: &mut ZeroRefreshSystem, first: u64, data: &[u8]) {
+        for (i, line) in data.chunks_exact(64).enumerate() {
+            s.write_line(LineAddr(first + i as u64), line).unwrap();
+        }
+    }
+
     #[test]
     fn round_trip_through_public_api() {
         let mut s = sys();
         let data: Vec<u8> = (0..192u8).collect();
-        s.write_bytes(64, &data).unwrap();
-        assert_eq!(s.read_bytes(64, 192).unwrap(), data);
+        write_lines(&mut s, 1, &data);
+        for (i, line) in data.chunks_exact(64).enumerate() {
+            assert_eq!(s.read_line(LineAddr(1 + i as u64)).unwrap(), line);
+        }
     }
 
     #[test]
@@ -388,26 +289,13 @@ mod tests {
     }
 
     #[test]
-    fn builder_applies_settings() {
-        let s = ZeroRefreshSystem::builder()
-            .capacity_bytes(2 * 64 * 2048)
-            .row_bytes(2048)
-            .temperature(TemperatureMode::Normal)
-            .build()
-            .unwrap();
-        assert_eq!(s.geometry().row_bytes(), 2048);
-        assert_eq!(s.config().timing.temperature, TemperatureMode::Normal);
-    }
-
-    #[test]
     fn retargeted_system_prices_like_one_built_at_that_temperature() {
         let build = |mode: TemperatureMode| {
             let mut cfg = SystemConfig::small_test();
             cfg.timing.temperature = mode;
             let mut s = ZeroRefreshSystem::new(&cfg).unwrap();
-            s.write_bytes(0, &[0x5Au8; 8192]).unwrap();
-            s.write_bytes(3 << 16, &(0..=255u8).collect::<Vec<_>>())
-                .unwrap();
+            write_lines(&mut s, 0, &[0x5Au8; 8192]);
+            write_lines(&mut s, 3 << 10, &(0..=255u8).collect::<Vec<_>>());
             s
         };
         let mut retargeted = build(TemperatureMode::Extended);
@@ -418,8 +306,8 @@ mod tests {
         assert_eq!(retargeted.config(), built.config());
         for _ in 0..3 {
             assert_eq!(retargeted.run_refresh_window(), built.run_refresh_window());
-            retargeted.write_bytes(64, &[7u8; 128]).unwrap();
-            built.write_bytes(64, &[7u8; 128]).unwrap();
+            write_lines(&mut retargeted, 1, &[7u8; 128]);
+            write_lines(&mut built, 1, &[7u8; 128]);
         }
         assert_eq!(retargeted.energy_breakdown(), built.energy_breakdown());
         assert_eq!(
@@ -432,16 +320,16 @@ mod tests {
         let mut extended = build(TemperatureMode::Extended);
         for _ in 0..3 {
             extended.run_refresh_window();
-            extended.write_bytes(64, &[7u8; 128]).unwrap();
+            write_lines(&mut extended, 1, &[7u8; 128]);
         }
         assert_ne!(extended.energy_breakdown(), built.energy_breakdown());
     }
 
     #[test]
-    fn builder_rejects_bad_config() {
-        let mut b = ZeroRefreshSystem::builder();
-        b.capacity_bytes(12345); // not a whole number of rows
-        assert!(b.build().is_err());
+    fn new_rejects_bad_config() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.dram.capacity_bytes = 12345; // not a whole number of rows
+        assert!(ZeroRefreshSystem::new(&cfg).is_err());
     }
 
     #[test]
@@ -465,7 +353,7 @@ mod tests {
     #[test]
     fn zero_fill_path() {
         let mut s = sys();
-        s.write_bytes(0, &[9u8; 4096]).unwrap();
+        write_lines(&mut s, 0, &[9u8; 4096]);
         s.zero_fill_lines(LineAddr(0), 64).unwrap();
         s.run_refresh_window();
         let w = s.run_refresh_window();

@@ -16,7 +16,10 @@
 //!   tracker the paper rejects on leakage grounds (kept as an ablation).
 //! - [`refresh::RefreshEngine`] — the per-bank auto-refresh state machine
 //!   with the skip logic of §IV, including the staggered refresh counters
-//!   of §IV-C and spared-row handling, decided a packed word at a time.
+//!   of §IV-C, decided a packed word at a time. Rows remapped by row
+//!   sparing ([`DramRank::add_spared_row`]) are never skipped (§IV-B), and
+//!   [`RefreshEngine::audit_hazards`] checks that the status table never
+//!   promises a skip for a charged row.
 //!
 //! The model is *functional with counted events*: it stores real bytes,
 //! detects discharged rows exactly as a wired-OR sense-amplifier check
@@ -51,9 +54,7 @@
 
 pub mod rank;
 pub mod refresh;
-pub mod retention;
 pub mod tracking;
 
 pub use rank::DramRank;
-pub use refresh::{RefreshEngine, RefreshGranularity, RefreshPolicy, WindowStats};
-pub use retention::RetentionProfile;
+pub use refresh::{RefreshEngine, RefreshPolicy, WindowStats};

@@ -208,11 +208,6 @@ impl DramRank {
         &self.geom
     }
 
-    /// The DRAM organization of this rank.
-    pub fn dram_config(&self) -> &DramConfig {
-        &self.dram
-    }
-
     /// The cell type of rank-row `row` (§II-B).
     pub fn cell_type(&self, row: RowIndex) -> CellType {
         CellType::of_row_index(row, &self.dram)

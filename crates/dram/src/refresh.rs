@@ -35,8 +35,7 @@
 //! under the mask. All three policies and [`RefreshEngine::audit_hazards`]
 //! use the same masks. The per-row walk these replace is kept under
 //! `#[cfg(test)]` as the reference the unit tests compare against, over
-//! every policy, granularity, stagger skew and AR set size from 1 to 128
-//! rows.
+//! every policy, stagger skew and AR set size from 1 to 128 rows.
 
 use std::sync::Arc;
 
@@ -314,25 +313,6 @@ pub fn check_stagger_geometry(geom: &Geometry) -> Result<()> {
     Ok(())
 }
 
-/// Auto-refresh command granularity (§II-C, §IV-A).
-///
-/// The paper's primary design assumes per-bank AR (as in LPDDR/HBM, and
-/// REFLEX-style for DDR). All-bank AR — the commodity DDRx default — is
-/// also supported "at the expense of the increased refresh logic
-/// complexity, as the discharged status of each row of multiple banks
-/// must be checked simultaneously": one command covers the AR set of
-/// *every* bank, so the skip logic consults `num_banks` status batches at
-/// once. The rows refreshed/skipped are identical; the command count and
-/// the per-command table traffic differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RefreshGranularity {
-    /// One AR command per (bank, set) — the paper's evaluated design.
-    #[default]
-    PerBank,
-    /// One AR command per set, covering all banks simultaneously.
-    AllBank,
-}
-
 /// The refresh state machine for one rank.
 ///
 /// The engine must observe every memory write through
@@ -343,7 +323,6 @@ pub enum RefreshGranularity {
 pub struct RefreshEngine {
     geom: Geometry,
     policy: RefreshPolicy,
-    granularity: RefreshGranularity,
     access: AccessBitTable,
     status: DischargedStatusTable,
     naive: Option<NaiveSramTracker>,
@@ -370,29 +349,15 @@ pub struct RefreshEngine {
 }
 
 impl RefreshEngine {
-    /// Builds a refresh engine for `config` under `policy`, using the
-    /// paper's per-bank AR granularity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`zr_types::Error::InvalidConfig`] if the configuration
-    /// does not validate.
-    pub fn new(config: &SystemConfig, policy: RefreshPolicy) -> Result<Self> {
-        Self::with_granularity(config, policy, RefreshGranularity::PerBank)
-    }
-
-    /// Builds a refresh engine with an explicit AR granularity.
+    /// Builds a refresh engine for `config` under `policy`, issuing the
+    /// paper's per-bank AR commands (§IV-A).
     ///
     /// # Errors
     ///
     /// Returns [`zr_types::Error::InvalidConfig`] if the configuration
     /// does not validate, or if a bank holds fewer rows than the rank has
     /// chips ([`check_stagger_geometry`]).
-    pub fn with_granularity(
-        config: &SystemConfig,
-        policy: RefreshPolicy,
-        granularity: RefreshGranularity,
-    ) -> Result<Self> {
+    pub fn new(config: &SystemConfig, policy: RefreshPolicy) -> Result<Self> {
         let geom = Geometry::new(config)?;
         check_stagger_geometry(&geom)?;
         let naive = match policy {
@@ -407,7 +372,6 @@ impl RefreshEngine {
             naive,
             geom,
             policy,
-            granularity,
             totals: WindowStats::default(),
             metrics: RefreshMetrics::new(&telemetry),
             telemetry,
@@ -505,7 +469,6 @@ impl RefreshEngine {
             EngineMeta {
                 engine: self.engine_id,
                 policy: self.policy.trace_tag(),
-                allbank: self.granularity == RefreshGranularity::AllBank,
                 num_banks: self.geom.num_banks() as u32,
                 num_chips: self.geom.num_chips() as u64,
                 ar_rows: self.geom.ar_rows(),
@@ -530,11 +493,6 @@ impl RefreshEngine {
         }
     }
 
-    /// The AR granularity this engine uses.
-    pub fn granularity(&self) -> RefreshGranularity {
-        self.granularity
-    }
-
     /// The policy this engine runs.
     pub fn policy(&self) -> RefreshPolicy {
         self.policy
@@ -548,16 +506,6 @@ impl RefreshEngine {
     /// Accumulated statistics since construction.
     pub fn totals(&self) -> WindowStats {
         self.totals
-    }
-
-    /// Read access to the access-bit table (sizing/energy queries).
-    pub fn access_bits(&self) -> &AccessBitTable {
-        &self.access
-    }
-
-    /// Read access to the naive SRAM tracker, if the policy uses one.
-    pub fn naive_tracker(&self) -> Option<&NaiveSramTracker> {
-        self.naive.as_ref()
     }
 
     /// Audits the discharged-status table against the rank's actual
@@ -642,33 +590,6 @@ impl RefreshEngine {
         let out = self.ar_for_bank(rank, bank, set);
         let stats = self.account(&out);
         self.publish(&stats);
-        out
-    }
-
-    /// Processes one all-bank auto-refresh command covering AR set `set`
-    /// of *every* bank simultaneously (§IV-A's alternative design). The
-    /// rows refreshed/skipped match `num_banks` per-bank commands; only
-    /// the command accounting differs.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Self::process_ar`].
-    pub fn process_allbank_ar(&mut self, rank: &DramRank, set: u64) -> ArOutcome {
-        let out = self.allbank_ar(rank, set);
-        let stats = self.account(&out);
-        self.publish(&stats);
-        out
-    }
-
-    fn allbank_ar(&mut self, rank: &DramRank, set: u64) -> ArOutcome {
-        let mut out = ArOutcome::default();
-        for bank in 0..self.geom.num_banks() {
-            let one = self.ar_for_bank(rank, BankId(bank), set);
-            out.rows_refreshed += one.rows_refreshed;
-            out.rows_skipped += one.rows_skipped;
-            out.table_reads += one.table_reads;
-            out.table_writes += one.table_writes;
-        }
         out
     }
 
@@ -875,9 +796,8 @@ impl RefreshEngine {
         self.flipped.clear();
     }
 
-    /// Runs one full retention window: every AR set of every bank once
-    /// (as per-bank or all-bank commands, per the configured granularity).
-    /// Returns the statistics of just this window, which are published to
+    /// Runs one full retention window: every AR set of every bank once,
+    /// one per-bank command each. Returns the statistics of just this window, which are published to
     /// the `dram.refresh.*` counters once, at the window's end. The loop
     /// is allocation-free.
     pub fn run_window(&mut self, rank: &mut DramRank) -> WindowStats {
@@ -889,17 +809,9 @@ impl RefreshEngine {
         }
         let before = self.totals;
         for set in 0..self.geom.ar_sets_per_bank() {
-            match self.granularity {
-                RefreshGranularity::PerBank => {
-                    for bank in 0..self.geom.num_banks() {
-                        let out = self.ar_for_bank(rank, BankId(bank), set);
-                        self.account(&out);
-                    }
-                }
-                RefreshGranularity::AllBank => {
-                    let out = self.allbank_ar(rank, set);
-                    self.account(&out);
-                }
+            for bank in 0..self.geom.num_banks() {
+                let out = self.ar_for_bank(rank, BankId(bank), set);
+                self.account(&out);
             }
         }
         let mut window = self.totals;
@@ -1072,35 +984,11 @@ mod per_row {
             out
         }
 
-        pub(super) fn process_allbank_ar_per_row(
-            &mut self,
-            rank: &DramRank,
-            set: u64,
-        ) -> ArOutcome {
-            let mut out = ArOutcome::default();
-            for bank in 0..self.geom.num_banks() {
-                let one = self.ar_for_bank_per_row(rank, BankId(bank), set);
-                out.rows_refreshed += one.rows_refreshed;
-                out.rows_skipped += one.rows_skipped;
-                out.table_reads += one.table_reads;
-                out.table_writes += one.table_writes;
-            }
-            self.account(&out);
-            out
-        }
-
         pub(super) fn run_window_per_row(&mut self, rank: &DramRank) -> WindowStats {
             let before = self.totals;
             for set in 0..self.geom.ar_sets_per_bank() {
-                match self.granularity {
-                    RefreshGranularity::PerBank => {
-                        for bank in 0..self.geom.num_banks() {
-                            self.process_ar_per_row(rank, BankId(bank), set);
-                        }
-                    }
-                    RefreshGranularity::AllBank => {
-                        self.process_allbank_ar_per_row(rank, set);
-                    }
+                for bank in 0..self.geom.num_banks() {
+                    self.process_ar_per_row(rank, BankId(bank), set);
                 }
             }
             let mut window = self.totals;
@@ -1335,6 +1223,22 @@ mod tests {
     }
 
     #[test]
+    fn spared_weak_rows_are_never_skipped() {
+        // Weak rows spread over both banks: each spared rank-row keeps its
+        // chips refreshed, everything else (fully discharged) skips.
+        let (cfg, mut rank) = system();
+        let weak = [(0, 3), (0, 40), (1, 0), (1, 17), (1, 63)];
+        for (bank, row) in weak {
+            rank.add_spared_row(BankId(bank), RowIndex(row));
+        }
+        let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
+        eng.run_window(&mut rank); // scan
+        let w = eng.run_window(&mut rank);
+        let chips = rank.geometry().num_chips() as u64;
+        assert_eq!(w.rows_refreshed, weak.len() as u64 * chips);
+    }
+
+    #[test]
     fn naive_policy_skips_without_scan_window() {
         let (cfg, mut rank) = system();
         let mut eng = RefreshEngine::new(&cfg, RefreshPolicy::NaiveSram).unwrap();
@@ -1396,60 +1300,6 @@ mod tests {
         eng.run_window(&mut rank);
         eng.run_window(&mut rank);
         assert_eq!(eng.totals().rows_refreshed, 2 * total_rows(&rank));
-    }
-
-    #[test]
-    fn allbank_matches_perbank_row_counts() {
-        let (cfg, mut rank) = system();
-        let line = vec![0x77u8; 64];
-        rank.write_encoded_line(BankId(0), RowIndex(3), 0, &line)
-            .unwrap();
-        let mut per = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-        let mut all = RefreshEngine::with_granularity(
-            &cfg,
-            RefreshPolicy::ChargeAware,
-            RefreshGranularity::AllBank,
-        )
-        .unwrap();
-        per.note_write(&rank, BankId(0), RowIndex(3));
-        all.note_write(&rank, BankId(0), RowIndex(3));
-        let (wp1, wa1) = (per.run_window(&mut rank), all.run_window(&mut rank));
-        let (wp2, wa2) = (per.run_window(&mut rank), all.run_window(&mut rank));
-        // Identical refresh/skip behaviour...
-        assert_eq!(wp1.rows_refreshed, wa1.rows_refreshed);
-        assert_eq!(wp2.rows_refreshed, wa2.rows_refreshed);
-        assert_eq!(wp2.rows_skipped, wa2.rows_skipped);
-        // ...but numBank x fewer commands (Sec. II-C).
-        assert_eq!(
-            wp1.ar_commands,
-            wa1.ar_commands * rank.geometry().num_banks() as u64
-        );
-    }
-
-    #[test]
-    fn allbank_command_count_matches_jedec() {
-        // 8192 all-bank AR commands per retention window when the bank
-        // has at least 8192 rows; fewer at scaled sizes (one per set).
-        let (cfg, mut rank) = system();
-        let mut all = RefreshEngine::with_granularity(
-            &cfg,
-            RefreshPolicy::Conventional,
-            RefreshGranularity::AllBank,
-        )
-        .unwrap();
-        let w = all.run_window(&mut rank);
-        assert_eq!(w.ar_commands, rank.geometry().ar_sets_per_bank());
-        assert_eq!(
-            w.rows_refreshed,
-            rank.geometry().total_chip_row_refreshes_per_window()
-        );
-    }
-
-    #[test]
-    fn granularity_accessor() {
-        let (cfg, _rank) = system();
-        let e = RefreshEngine::new(&cfg, RefreshPolicy::Conventional).unwrap();
-        assert_eq!(e.granularity(), RefreshGranularity::PerBank);
     }
 
     #[test]
@@ -1535,15 +1385,14 @@ mod tests {
     }
 
     /// One seeded case: writes, cleanses, spares (up front and between
-    /// commands), per-bank and all-bank commands and (on small
-    /// geometries) whole windows, each applied to
-    /// the engine and to a clone driven through the per-row reference.
+    /// commands), AR commands and (on small geometries) whole windows,
+    /// each applied to the engine and to a clone driven through the
+    /// per-row reference.
     /// Large geometries work on a focus of a few AR sets.
     fn reference_case(
         chips: usize,
         ar: u64,
         policy: RefreshPolicy,
-        granularity: RefreshGranularity,
         scalar: bool,
         skew: u64,
         draw: &mut impl FnMut(u64) -> u64,
@@ -1561,12 +1410,12 @@ mod tests {
         let cfg = rank_config(chips, banks, rows, block, draw(2) == 1);
         let context = format!(
             "chips {chips} ar_rows {ar} banks {banks} rows {rows} block {block} \
-             {policy:?} {granularity:?} scalar {scalar} skew {skew}"
+             {policy:?} scalar {scalar} skew {skew}"
         );
         let mut rank = DramRank::new(&cfg).unwrap();
         assert_eq!(rank.geometry().ar_rows(), ar, "{context}");
         rank.set_force_scalar(scalar);
-        let mut engine = RefreshEngine::with_granularity(&cfg, policy, granularity).unwrap();
+        let mut engine = RefreshEngine::new(&cfg, policy).unwrap();
         engine.set_stagger_skew(skew);
         let mut reference = engine.clone();
 
@@ -1619,7 +1468,7 @@ mod tests {
                     engine.note_write(&rank, bank, row);
                     reference.note_write_per_row(&rank, bank, row);
                 }
-                5..=7 => {
+                5..=8 => {
                     let out = engine.process_ar(&rank, bank, set);
                     assert_eq!(
                         out,
@@ -1627,14 +1476,6 @@ mod tests {
                         "{what}"
                     );
                     reach.skipped += out.rows_skipped;
-                }
-                8 => {
-                    let out = engine.process_allbank_ar(&rank, set);
-                    assert_eq!(
-                        out,
-                        reference.process_allbank_ar_per_row(&rank, set),
-                        "{what}"
-                    );
                 }
                 9 => {
                     // Sparing after a scan: the stored status may promise
@@ -1691,27 +1532,17 @@ mod tests {
                     RefreshPolicy::ChargeAware,
                     RefreshPolicy::NaiveSram,
                 ] {
-                    for granularity in [RefreshGranularity::PerBank, RefreshGranularity::AllBank] {
-                        case += 1;
-                        // The scalar oracle on in every other case, a
-                        // stagger skew (up to two groups) in two of three.
-                        let skew = if case % 3 == 0 {
-                            0
-                        } else {
-                            1 + draw(2 * chips as u64)
-                        };
-                        let reach = reference_case(
-                            chips,
-                            ar,
-                            policy,
-                            granularity,
-                            case % 2 == 0,
-                            skew,
-                            &mut draw,
-                        );
-                        skipped += reach.skipped;
-                        hazards += reach.hazards;
-                    }
+                    case += 1;
+                    // The scalar oracle on in every other case, a stagger
+                    // skew (up to two groups) in two of three.
+                    let skew = if case % 3 == 0 {
+                        0
+                    } else {
+                        1 + draw(2 * chips as u64)
+                    };
+                    let reach = reference_case(chips, ar, policy, case % 2 == 0, skew, &mut draw);
+                    skipped += reach.skipped;
+                    hazards += reach.hazards;
                 }
             }
         }

@@ -12,7 +12,7 @@
 //!   8 KB / 2.71 mW at full scale) filters which AR commands may trust it.
 
 use zr_types::geometry::{BankId, ChipId, RowIndex};
-use zr_types::{Geometry, Result, SystemConfig};
+use zr_types::Geometry;
 
 /// The coarse-grained SRAM access-bit table (§IV-B).
 ///
@@ -328,41 +328,10 @@ impl NaiveSramTracker {
     }
 }
 
-/// Builds both §IV-B tracking structures for a system configuration.
-///
-/// # Errors
-///
-/// Returns [`zr_types::Error::InvalidConfig`] if the configuration does
-/// not validate.
-///
-/// # Examples
-///
-/// ```
-/// use zr_dram::tracking;
-/// use zr_types::SystemConfig;
-///
-/// // At the paper's full 32 GB scale the access-bit SRAM is 8 KiB…
-/// let mut cfg = SystemConfig::paper_default();
-/// cfg.dram.capacity_bytes = 32u64 << 30;
-/// let (access, status) = tracking::build_tables(&cfg)?;
-/// assert_eq!(access.size_bytes(), 8 << 10);
-/// // …and the naive per-row table would need 1 MiB of SRAM.
-/// let naive = tracking::NaiveSramTracker::new(&cfg.geometry());
-/// assert_eq!(naive.size_bytes(), 1 << 20);
-/// # drop(status);
-/// # Ok::<(), zr_types::Error>(())
-/// ```
-pub fn build_tables(config: &SystemConfig) -> Result<(AccessBitTable, DischargedStatusTable)> {
-    let geom = Geometry::new(config)?;
-    Ok((
-        AccessBitTable::new(&geom),
-        DischargedStatusTable::new(&geom),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zr_types::SystemConfig;
 
     fn geom() -> Geometry {
         SystemConfig::small_test().geometry()

@@ -1,6 +1,6 @@
 //! Property-based tests for the DRAM model and refresh engine.
 
-use zr_dram::{DramRank, RefreshEngine, RefreshGranularity, RefreshPolicy};
+use zr_dram::{DramRank, RefreshEngine, RefreshPolicy};
 use zr_types::geometry::{BankId, ChipId, RowIndex};
 use zr_types::rng::{cases, SplitMix64};
 use zr_types::SystemConfig;
@@ -92,34 +92,6 @@ fn discharged_count_matches_manual_scan() {
             }
         }
         assert_eq!(rank.count_discharged_chip_rows(), manual);
-    });
-}
-
-#[test]
-fn granularities_always_agree_on_rows() {
-    cases("granularities_always_agree_on_rows", CASES, |rng| {
-        let writes = arb_writes(rng);
-        let cfg = SystemConfig::small_test();
-        let mut rank = DramRank::new(&cfg).unwrap();
-        let mut per = RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
-        let mut all = RefreshEngine::with_granularity(
-            &cfg,
-            RefreshPolicy::ChargeAware,
-            RefreshGranularity::AllBank,
-        )
-        .unwrap();
-        for (bank, row, slot, fill) in writes {
-            rank.write_encoded_line(BankId(bank), RowIndex(row), slot, &[fill; 64])
-                .unwrap();
-            per.note_write(&rank, BankId(bank), RowIndex(row));
-            all.note_write(&rank, BankId(bank), RowIndex(row));
-        }
-        for _ in 0..2 {
-            let wp = per.run_window(&mut rank);
-            let wa = all.run_window(&mut rank);
-            assert_eq!(wp.rows_refreshed, wa.rows_refreshed);
-            assert_eq!(wp.rows_skipped, wa.rows_skipped);
-        }
     });
 }
 

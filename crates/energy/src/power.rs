@@ -138,18 +138,6 @@ impl DevicePowerModel {
             refresh: Milliwatts(refresh),
         }
     }
-
-    /// Refresh power share for a density sweep — the Fig. 4 series.
-    pub fn refresh_share_sweep(
-        &self,
-        densities_gbit: &[u32],
-        temperature: TemperatureMode,
-    ) -> Vec<(u32, f64)> {
-        densities_gbit
-            .iter()
-            .map(|&d| (d, self.breakdown(d, temperature).refresh_share()))
-            .collect()
-    }
 }
 
 impl Default for DevicePowerModel {
@@ -165,9 +153,10 @@ mod tests {
     #[test]
     fn refresh_share_grows_with_density() {
         let m = DevicePowerModel::paper_default();
-        let sweep = m.refresh_share_sweep(&[2, 4, 8, 16, 32, 64], TemperatureMode::Extended);
-        for pair in sweep.windows(2) {
-            assert!(pair[1].1 > pair[0].1, "share must grow: {pair:?}");
+        let shares = [2, 4, 8, 16, 32, 64]
+            .map(|d| m.breakdown(d, TemperatureMode::Extended).refresh_share());
+        for pair in shares.windows(2) {
+            assert!(pair[1] > pair[0], "share must grow: {pair:?}");
         }
     }
 

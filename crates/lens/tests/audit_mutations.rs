@@ -93,7 +93,6 @@ fn announcement() -> TraceRecord {
     EngineMeta {
         engine: ENGINE,
         policy: POLICY_CHARGE_AWARE,
-        allbank: false,
         num_banks: 1,
         num_chips: 1,
         ar_rows: 1,

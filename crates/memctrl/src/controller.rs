@@ -7,7 +7,7 @@ use zr_telemetry::{LocalCounter, Telemetry};
 use zr_trace::{RecordKind, TraceRecord, TraceRecorder, SRC_MEMCTRL};
 use zr_transform::ValueTransformer;
 use zr_types::geometry::{LineAddr, LineLocation};
-use zr_types::{Error, Geometry, Result, SystemConfig};
+use zr_types::{Geometry, Result, SystemConfig};
 
 /// Pre-resolved `memctrl.*` metric handles: per-line tallies, published
 /// at every refresh window and on drop.
@@ -51,8 +51,7 @@ impl AccessStats {
 /// The CPU-side memory controller with the ZERO-REFRESH value
 /// transformation on its datapath (Fig. 7).
 ///
-/// All addresses are cacheline-granular ([`LineAddr`]); byte-level
-/// convenience wrappers are provided for whole-line-aligned buffers.
+/// All addresses are cacheline-granular ([`LineAddr`]).
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     geom: Geometry,
@@ -74,8 +73,8 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if the configuration does not
-    /// validate.
+    /// Returns [`zr_types::Error::InvalidConfig`] if the configuration
+    /// does not validate.
     pub fn new(config: &SystemConfig, policy: RefreshPolicy) -> Result<Self> {
         Ok(MemoryController {
             geom: Geometry::new(config)?,
@@ -143,8 +142,9 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::BadLength`] for a wrong-sized buffer or
-    /// [`Error::AddressOutOfRange`] for an address beyond the capacity.
+    /// Returns [`zr_types::Error::BadLength`] for a wrong-sized buffer or
+    /// [`zr_types::Error::AddressOutOfRange`] for an address beyond the
+    /// capacity.
     pub fn write_line(&mut self, addr: LineAddr, data: &[u8]) -> Result<()> {
         let _span = self.telemetry.span("memctrl.write");
         let loc = self.geom.locate(addr)?;
@@ -174,8 +174,8 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::AddressOutOfRange`] for an address beyond the
-    /// capacity.
+    /// Returns [`zr_types::Error::AddressOutOfRange`] for an address
+    /// beyond the capacity.
     pub fn read_line(&mut self, addr: LineAddr) -> Result<Vec<u8>> {
         let _span = self.telemetry.span("memctrl.read");
         let loc = self.geom.locate(addr)?;
@@ -194,47 +194,6 @@ impl MemoryController {
             self.trace.record(rec);
         }
         Ok(line)
-    }
-
-    /// Writes a line-aligned byte buffer spanning one or more cachelines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::MisalignedAccess`] if the address or length are not
-    /// line-aligned, plus the errors of [`Self::write_line`].
-    pub fn write_bytes(&mut self, byte_addr: u64, data: &[u8]) -> Result<()> {
-        let lb = self.geom.line_bytes() as u64;
-        if !byte_addr.is_multiple_of(lb) || !(data.len() as u64).is_multiple_of(lb) {
-            return Err(Error::MisalignedAccess {
-                addr: byte_addr,
-                alignment: lb as usize,
-            });
-        }
-        for (i, chunk) in data.chunks_exact(lb as usize).enumerate() {
-            self.write_line(LineAddr(byte_addr / lb + i as u64), chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Reads a line-aligned byte range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::MisalignedAccess`] if the address or length are not
-    /// line-aligned, plus the errors of [`Self::read_line`].
-    pub fn read_bytes(&mut self, byte_addr: u64, len: usize) -> Result<Vec<u8>> {
-        let lb = self.geom.line_bytes() as u64;
-        if !byte_addr.is_multiple_of(lb) || !(len as u64).is_multiple_of(lb) {
-            return Err(Error::MisalignedAccess {
-                addr: byte_addr,
-                alignment: lb as usize,
-            });
-        }
-        let mut out = Vec::with_capacity(len);
-        for i in 0..(len as u64 / lb) {
-            out.extend_from_slice(&self.read_line(LineAddr(byte_addr / lb + i))?);
-        }
-        Ok(out)
     }
 
     /// Zero-fills a range of cachelines — the OS cleansing of §III-B,
@@ -265,8 +224,8 @@ impl MemoryController {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::AddressOutOfRange`] for an address beyond the
-    /// capacity.
+    /// Returns [`zr_types::Error::AddressOutOfRange`] for an address
+    /// beyond the capacity.
     pub fn locate(&self, addr: LineAddr) -> Result<LineLocation> {
         self.geom.locate(addr)
     }
@@ -361,25 +320,6 @@ mod tests {
         mc.run_refresh_window(); // scan
         let w = mc.run_refresh_window();
         assert_eq!(w.skip_fraction(), 1.0);
-    }
-
-    #[test]
-    fn byte_wrappers_round_trip() {
-        let mut mc = mc(RefreshPolicy::Conventional);
-        let data: Vec<u8> = (0..256u32).map(|i| (i * 7 % 256) as u8).collect();
-        mc.write_bytes(128, &data).unwrap();
-        assert_eq!(mc.read_bytes(128, 256).unwrap(), data);
-    }
-
-    #[test]
-    fn misaligned_bytes_rejected() {
-        let mut mc = mc(RefreshPolicy::Conventional);
-        assert!(matches!(
-            mc.write_bytes(3, &[0u8; 64]),
-            Err(Error::MisalignedAccess { .. })
-        ));
-        assert!(mc.write_bytes(0, &[0u8; 63]).is_err());
-        assert!(mc.read_bytes(64, 63).is_err());
     }
 
     #[test]

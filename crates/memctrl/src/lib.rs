@@ -5,9 +5,9 @@
 //! value transformation of `zr-transform` before it is stored in the
 //! `zr-dram` rank, and every fill applies the inverse. The controller also
 //! forwards write notifications to the refresh engine so the access-bit
-//! table stays coherent, and it drives refresh windows. A write-back
-//! [`cache::LastLevelCache`] can sit in front of it so DRAM sees only
-//! miss and eviction traffic, as in the paper's Fig. 7.
+//! table stays coherent, and it drives refresh windows. The workload
+//! traces emit the LLC's write-back stream directly, so no cache model
+//! sits in front of the controller.
 //!
 //! # Examples
 //!
@@ -28,8 +28,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod controller;
 
-pub use cache::LastLevelCache;
 pub use controller::{AccessStats, MemoryController};

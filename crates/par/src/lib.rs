@@ -121,31 +121,6 @@ where
         .collect()
 }
 
-/// [`run_jobs`] for fallible jobs: returns all results in submission
-/// order, or the error of the *lowest-indexed* failing job — the same
-/// error a serial loop would surface — regardless of which worker hit
-/// an error first.
-///
-/// On the serial path (`threads <= 1` or fewer than two jobs) the loop
-/// stops at the first error exactly like today's `for` loops; on the
-/// pool path every job still runs (workers have no cancellation), and
-/// the submission-order error is selected after the join.
-///
-/// # Errors
-///
-/// The error of the lowest-indexed failing job.
-pub fn try_run_jobs<T, E, F>(threads: usize, jobs: usize, job: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs).map(job).collect();
-    }
-    run_jobs(threads, jobs, job).into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,27 +196,6 @@ mod tests {
         let seen = Mutex::new(Vec::new());
         run_jobs_observed(1, 5, |i| i, |index, _, _| seen.lock().unwrap().push(index));
         assert_eq!(seen.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn try_run_surfaces_the_lowest_indexed_error() {
-        for threads in [1, 2, 4] {
-            let out: Result<Vec<usize>, String> = try_run_jobs(threads, 16, |i| {
-                if i == 5 || i == 11 {
-                    Err(format!("job {i}"))
-                } else {
-                    Ok(i)
-                }
-            });
-            assert_eq!(out.unwrap_err(), "job 5", "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn try_run_ok_path_matches_serial() {
-        let serial: Result<Vec<usize>, ()> = try_run_jobs(1, 12, Ok);
-        let pooled: Result<Vec<usize>, ()> = try_run_jobs(3, 12, Ok);
-        assert_eq!(serial, pooled);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The counting global allocator and per-scope allocation accounting.
 //!
-//! With the `count-alloc` feature (on by default) this module installs
-//! [`CountingAlloc`] — a thin wrapper around the system allocator — as
-//! the process-wide `#[global_allocator]`. Every successful allocation
-//! bumps two sets of counters:
+//! This module installs [`CountingAlloc`] — a thin wrapper around the
+//! system allocator — as the process-wide `#[global_allocator]` of every
+//! binary that links zr-prof. Every successful allocation bumps two sets
+//! of counters:
 //!
 //! * process-wide atomics (total allocations, total bytes, live bytes,
 //!   peak live bytes), read via [`process_totals`];
@@ -20,23 +20,16 @@
 //! it just goes unrecorded). `zr-prof`'s span profiler uses this so
 //! profile capture does not charge its hash-map inserts to the scope
 //! under measurement.
-//!
-//! Without the feature the wrapper is not installed and every query
-//! returns zeros ([`counting_enabled`] reports which world you are in).
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-#[cfg(feature = "count-alloc")]
-use std::alloc::{GlobalAlloc, Layout, System};
-
 /// Wrapper around the system allocator counting every (unsuspended)
-/// allocation. Installed as the global allocator by the `count-alloc`
-/// feature; see the module docs.
+/// allocation. Installed as the global allocator; see the module docs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CountingAlloc;
 
-#[cfg(feature = "count-alloc")]
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
@@ -84,7 +77,6 @@ fn note_dealloc(bytes: usize) {
 // system allocator unchanged; the wrapper only updates counters, which
 // allocate nothing themselves (atomics and const-initialized
 // thread-local cells), so there is no reentrancy into the allocator.
-#[cfg(feature = "count-alloc")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
@@ -115,12 +107,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         }
         p
     }
-}
-
-/// Whether the counting allocator is compiled in (`count-alloc`
-/// feature). When `false`, every counter in this module reads zero.
-pub const fn counting_enabled() -> bool {
-    cfg!(feature = "count-alloc")
 }
 
 /// Allocation counts over some window: number of allocations and bytes
@@ -157,7 +143,7 @@ pub struct AllocTotals {
     pub peak_bytes: u64,
 }
 
-/// Process-wide totals since start (zeros without `count-alloc`).
+/// Process-wide totals since start.
 pub fn process_totals() -> AllocTotals {
     AllocTotals {
         allocs: TOTAL_ALLOCS.load(Ordering::Relaxed),
@@ -167,8 +153,7 @@ pub fn process_totals() -> AllocTotals {
     }
 }
 
-/// This thread's gross allocation counts since thread start (zeros
-/// without `count-alloc`).
+/// This thread's gross allocation counts since thread start.
 pub fn thread_stats() -> AllocStats {
     AllocStats {
         allocs: THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0),
@@ -207,7 +192,7 @@ impl AllocScope {
     }
 }
 
-#[cfg(all(test, feature = "count-alloc"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::hint::black_box;

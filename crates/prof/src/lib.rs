@@ -3,8 +3,8 @@
 //!
 //! Three cooperating pieces:
 //!
-//! * [`alloc`] — a feature-gated counting wrapper around the system
-//!   allocator (`count-alloc`, on by default) with process totals,
+//! * [`alloc`] — a counting wrapper around the system allocator,
+//!   installed as the global allocator, with process totals,
 //!   exact per-thread windows ([`alloc::AllocScope`]) and a suspend
 //!   mechanism so measurement tools do not observe themselves;
 //! * [`profile`] — a [`profile::Profiler`] that piggybacks on

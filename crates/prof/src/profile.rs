@@ -179,8 +179,7 @@ pub struct ProfileNode {
     /// Total thread CPU time under this stack, nanoseconds (0 off
     /// Linux).
     pub cpu_ns: u64,
-    /// Allocations performed under this stack (counting allocator;
-    /// zeros when the `count-alloc` feature is off).
+    /// Allocations performed under this stack (counting allocator).
     pub allocs: u64,
     /// Bytes requested under this stack.
     pub alloc_bytes: u64,

@@ -1,8 +1,5 @@
 //! Counting-allocator accounting under nested scopes and across
-//! threads. These tests need the `count-alloc` feature (on by default);
-//! without it the whole file compiles away.
-
-#![cfg(feature = "count-alloc")]
+//! threads.
 
 use std::hint::black_box;
 

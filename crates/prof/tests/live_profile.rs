@@ -39,24 +39,21 @@ fn live_spans_produce_nested_profile_paths() {
         assert!(node.wall_ns > 0, "{} has zero wall time", node.path);
     }
 
-    // The vec![0u8; 64] under transform.encode is visible when the
-    // counting allocator is in (and attributed to every enclosing
-    // scope, since totals are inclusive).
-    if cfg!(feature = "count-alloc") {
-        let encode = profile
-            .nodes
-            .iter()
-            .find(|n| n.path.ends_with("transform.encode"))
-            .unwrap();
-        assert!(encode.allocs >= 3, "{encode:?}");
-        assert!(encode.alloc_bytes >= 3 * 64, "{encode:?}");
-        let window = profile
-            .nodes
-            .iter()
-            .find(|n| n.path == "refresh.window")
-            .unwrap();
-        assert!(window.allocs >= encode.allocs, "totals are inclusive");
-    }
+    // The vec![0u8; 64] under transform.encode is counted (and
+    // attributed to every enclosing scope, since totals are inclusive).
+    let encode = profile
+        .nodes
+        .iter()
+        .find(|n| n.path.ends_with("transform.encode"))
+        .unwrap();
+    assert!(encode.allocs >= 3, "{encode:?}");
+    assert!(encode.alloc_bytes >= 3 * 64, "{encode:?}");
+    let window = profile
+        .nodes
+        .iter()
+        .find(|n| n.path == "refresh.window")
+        .unwrap();
+    assert!(window.allocs >= encode.allocs, "totals are inclusive");
 
     let folded = profile.to_folded();
     assert!(!folded.is_empty());

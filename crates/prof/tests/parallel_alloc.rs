@@ -1,10 +1,7 @@
 //! Allocation accounting on `zr-par` pool workers: `AllocScope` windows
 //! are per-thread, so concurrent jobs never bleed into each other's
 //! deltas — the property the `fig14_subset_parallel` perf slice (and
-//! any profiling of a pooled sweep) depends on. Needs the `count-alloc`
-//! feature (on by default); without it the file compiles away.
-
-#![cfg(feature = "count-alloc")]
+//! any profiling of a pooled sweep) depends on.
 
 use std::hint::black_box;
 

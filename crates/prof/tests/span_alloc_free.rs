@@ -7,8 +7,6 @@
 //! bookkeeping is deliberately outside the "span hot path" being
 //! measured here.
 
-#![cfg(feature = "count-alloc")]
-
 use zr_prof::alloc::{AllocScope, AllocStats};
 use zr_telemetry::Telemetry;
 

@@ -15,8 +15,6 @@
 //! Runs in its own process so no process-wide observers interfere with
 //! the measurement.
 
-#![cfg(feature = "count-alloc")]
-
 use zr_dram::RefreshPolicy;
 use zr_memctrl::MemoryController;
 use zr_prof::alloc::{AllocScope, AllocStats};

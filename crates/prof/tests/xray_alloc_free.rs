@@ -7,8 +7,6 @@
 //! Runs in its own process so no process-wide observers interfere with
 //! the measurement.
 
-#![cfg(feature = "count-alloc")]
-
 use std::sync::Arc;
 
 use zr_dram::{DramRank, RefreshEngine, RefreshPolicy};

@@ -80,13 +80,6 @@ pub enum Event {
         /// `"hit"`, `"closed"` or `"conflict"`.
         outcome: &'static str,
     },
-    /// One LLC eviction that wrote a dirty line back (sampled).
-    CacheWriteback {
-        /// Cache set index.
-        set: usize,
-        /// Evicted line address.
-        line: u64,
-    },
     /// One experiment summary from a `zr-sim` driver.
     ExperimentSummary {
         /// Benchmark name.
@@ -125,11 +118,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// Whether this kind is high-rate and therefore subject to sampling.
-    pub fn sampled(&self) -> bool {
-        self.sample_slot().is_some()
-    }
-
     /// The sampling counter of a sampled kind: each kind counts only its
     /// own events, so which ones a sink keeps does not depend on how many
     /// events of other kinds came between them.
@@ -138,7 +126,6 @@ impl Event {
             Event::SkipDecision { .. } => Some(0),
             Event::TransformStage { .. } => Some(1),
             Event::RowBuffer { .. } => Some(2),
-            Event::CacheWriteback { .. } => Some(3),
             _ => None,
         }
     }
@@ -198,7 +185,6 @@ impl Event {
                 fields!(op, row, ebdi, bit_plane, inverted, rotation),
             ),
             Event::RowBuffer { bank, row, outcome } => ("row_buffer", fields!(bank, row, outcome)),
-            Event::CacheWriteback { set, line } => ("cache_writeback", fields!(set, line)),
             Event::ExperimentSummary {
                 benchmark,
                 alloc_fraction,
@@ -275,7 +261,7 @@ pub struct EventSink {
     started: Instant,
     sample: SampleConfig,
     /// One counter per sampled kind ([`Event::sample_slot`]).
-    sample_counters: [AtomicU64; 4],
+    sample_counters: [AtomicU64; 3],
 }
 
 impl EventSink {

@@ -126,11 +126,8 @@ impl Telemetry {
 
     /// Installs `telemetry` as this thread's [`Telemetry::current`]
     /// until the returned guard drops. Overrides nest (innermost wins).
-    #[must_use = "dropping the guard immediately uninstalls the override"]
-    pub fn push_current(telemetry: Arc<Telemetry>) -> CurrentGuard {
-        CurrentGuard {
-            _inner: CURRENT_STACK.push(telemetry),
-        }
+    pub fn push_current(telemetry: Arc<Telemetry>) -> zr_par::context::Guard<Telemetry> {
+        CURRENT_STACK.push(telemetry)
     }
 
     /// The dot-joined scope path active on this thread, if any — what a
@@ -352,15 +349,6 @@ impl Telemetry {
             sink.flush();
         }
     }
-}
-
-/// RAII guard of one [`Telemetry::push_current`] override; dropping it
-/// pops the override from this thread's stack.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately uninstalls the override"]
-pub struct CurrentGuard {
-    /// Held for its Drop impl, which pops the override.
-    _inner: zr_par::context::Guard<Telemetry>,
 }
 
 #[cfg(test)]

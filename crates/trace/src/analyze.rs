@@ -254,7 +254,6 @@ mod tests {
         let meta = EngineMeta {
             engine: 0,
             policy: POLICY_CHARGE_AWARE,
-            allbank: false,
             num_banks: 2,
             num_chips: 2,
             ar_rows: 1,

@@ -132,10 +132,9 @@ fn cmd_inspect(args: &[String], out: &mut Stdout) -> CmdResult {
     for meta in &s.engines {
         writeln!(
             out,
-            "engine {}: {} ({}), {} banks x {} sets x {} rows x {} chips",
+            "engine {}: {}, {} banks x {} sets x {} rows x {} chips",
             meta.engine,
             meta.policy_name(),
-            if meta.allbank { "all-bank" } else { "per-bank" },
             meta.num_banks,
             meta.ar_sets_per_bank,
             meta.ar_rows,

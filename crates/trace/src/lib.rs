@@ -52,10 +52,10 @@ pub use chrome::{to_chrome_events, write_chrome_json};
 pub use reader::{parse_trace, read_trace};
 pub use record::{
     check_header, encode_header, EngineMeta, RecordKind, TraceRecord, ENGINE_ID_LIMIT,
-    FLAG_ALLBANK, FLAG_BIT_PLANE, FLAG_DECODE, FLAG_DISCHARGED, FLAG_EBDI, FLAG_INVERTED,
-    FLAG_ROTATION, FLAG_TRUSTED, FLAG_WRITE, FORMAT_VERSION, FRAME_PREFIX_BYTES, HEADER_BYTES,
-    MAGIC, POLICY_CHARGE_AWARE, POLICY_CONVENTIONAL, POLICY_MASK, POLICY_NAIVE_SRAM,
-    RECORDS_PER_FRAME, RECORD_BYTES, SRC_CACHE, SRC_MEMCTRL, SRC_TIMING, SRC_TRANSFORM,
+    FLAG_BIT_PLANE, FLAG_DECODE, FLAG_DISCHARGED, FLAG_EBDI, FLAG_INVERTED, FLAG_ROTATION,
+    FLAG_TRUSTED, FLAG_WRITE, FORMAT_VERSION, FRAME_PREFIX_BYTES, HEADER_BYTES, MAGIC,
+    POLICY_CHARGE_AWARE, POLICY_CONVENTIONAL, POLICY_MASK, POLICY_NAIVE_SRAM, RECORDS_PER_FRAME,
+    RECORD_BYTES, SRC_MEMCTRL, SRC_TIMING, SRC_TRANSFORM,
 };
-pub use recorder::{env_trace_path, CurrentTraceGuard, TraceRecorder, DEFAULT_FILE_NAME};
+pub use recorder::{env_trace_path, TraceRecorder, DEFAULT_FILE_NAME};
 pub use replay::{replay, Divergence, ReplayReport};

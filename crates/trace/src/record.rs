@@ -38,8 +38,6 @@ pub const SRC_TIMING: u8 = 0xF1;
 pub const SRC_MEMCTRL: u8 = 0xF0;
 /// Source id of the value-transformation pipeline (`zr-transform`).
 pub const SRC_TRANSFORM: u8 = 0xF2;
-/// Source id of the last-level cache (`zr-memctrl::cache`).
-pub const SRC_CACHE: u8 = 0xF3;
 /// Exclusive upper bound for refresh-engine instance ids; ids wrap below
 /// this so they never collide with the fixed component ids above.
 pub const ENGINE_ID_LIMIT: u8 = 0xF0;
@@ -61,8 +59,6 @@ pub const FLAG_DECODE: u16 = 1 << 5;
 pub const FLAG_DISCHARGED: u16 = 1 << 6;
 /// Flag bit: the access was a write (timing command records).
 pub const FLAG_WRITE: u16 = 1 << 7;
-/// Flag bit: all-bank AR granularity (meta records).
-pub const FLAG_ALLBANK: u16 = 1 << 8;
 
 /// Refresh policy tag stored in the low bits of a meta record's flags.
 pub const POLICY_MASK: u16 = 0b11;
@@ -74,11 +70,13 @@ pub const POLICY_CHARGE_AWARE: u16 = 1;
 pub const POLICY_NAIVE_SRAM: u16 = 2;
 
 /// What one trace record describes. The discriminant is the on-disk tag.
+/// Tag 12 is unassigned: the kinds after it keep their tags, so traces
+/// written before it was freed still decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum RecordKind {
     /// Engine registration: `src` is the engine id; `flags` carry the
-    /// policy tag and granularity; `bank` = `num_banks`, `a` = `num_chips`,
+    /// policy tag; `bank` = `num_banks`, `a` = `num_chips`,
     /// `b` = `ar_rows`, `c` = `ar_sets_per_bank`.
     Meta = 0,
     /// A retention window began: `a` = window index.
@@ -112,9 +110,6 @@ pub enum RecordKind {
     /// One transformation-pipeline application: `a` = destination
     /// rank-row; stage-selection flags.
     Transform = 11,
-    /// A dirty LLC eviction written back: `bank` = cache set, `a` = line
-    /// address.
-    Writeback = 12,
     /// A functional cacheline read served by the controller: `bank`,
     /// `a` = rank-row, `b` = slot.
     McRead = 13,
@@ -125,7 +120,7 @@ pub enum RecordKind {
 
 impl RecordKind {
     /// All kinds, in tag order.
-    pub const ALL: [RecordKind; 15] = [
+    pub const ALL: [RecordKind; 14] = [
         RecordKind::Meta,
         RecordKind::WindowStart,
         RecordKind::WindowEnd,
@@ -138,14 +133,13 @@ impl RecordKind {
         RecordKind::Pre,
         RecordKind::ChargeTransition,
         RecordKind::Transform,
-        RecordKind::Writeback,
         RecordKind::McRead,
         RecordKind::McWrite,
     ];
 
     /// Decodes an on-disk tag.
     pub fn from_tag(tag: u8) -> Option<RecordKind> {
-        Self::ALL.get(tag as usize).copied()
+        Self::ALL.iter().copied().find(|&k| k as u8 == tag)
     }
 
     /// Stable lowercase name (CLI filters, summaries).
@@ -163,7 +157,6 @@ impl RecordKind {
             RecordKind::Pre => "pre",
             RecordKind::ChargeTransition => "charge_transition",
             RecordKind::Transform => "transform",
-            RecordKind::Writeback => "writeback",
             RecordKind::McRead => "mc_read",
             RecordKind::McWrite => "mc_write",
         }
@@ -184,7 +177,7 @@ pub struct TraceRecord {
     pub src: u8,
     /// Kind-specific flag bits (`FLAG_*`, `POLICY_*`).
     pub flags: u16,
-    /// Bank index (or cache set for writebacks).
+    /// Bank index.
     pub bank: u32,
     /// First kind-specific payload (usually a row or AR set).
     pub a: u64,
@@ -280,8 +273,6 @@ pub struct EngineMeta {
     pub engine: u8,
     /// Policy tag (`POLICY_*`).
     pub policy: u16,
-    /// Whether the engine issues all-bank AR commands.
-    pub allbank: bool,
     /// Banks per chip.
     pub num_banks: u32,
     /// Chips in the rank.
@@ -298,7 +289,7 @@ impl EngineMeta {
         TraceRecord {
             kind: RecordKind::Meta,
             src: self.engine,
-            flags: (self.policy & POLICY_MASK) | if self.allbank { FLAG_ALLBANK } else { 0 },
+            flags: self.policy & POLICY_MASK,
             bank: self.num_banks,
             a: self.num_chips,
             b: self.ar_rows,
@@ -314,7 +305,6 @@ impl EngineMeta {
         Some(EngineMeta {
             engine: r.src,
             policy: r.flags & POLICY_MASK,
-            allbank: r.flags & FLAG_ALLBANK != 0,
             num_banks: r.bank,
             num_chips: r.a,
             ar_rows: r.b,
@@ -383,8 +373,10 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         let mut bytes = TraceRecord::new(RecordKind::Act, 0).encode();
-        bytes[0] = 200;
-        assert!(TraceRecord::decode(&bytes).is_err());
+        for tag in [12, 15, 200] {
+            bytes[0] = tag;
+            assert!(TraceRecord::decode(&bytes).is_err(), "tag {tag}");
+        }
     }
 
     #[test]
@@ -406,7 +398,6 @@ mod tests {
         let meta = EngineMeta {
             engine: 2,
             policy: POLICY_CHARGE_AWARE,
-            allbank: true,
             num_banks: 8,
             num_chips: 8,
             ar_rows: 128,

@@ -210,11 +210,8 @@ impl TraceRecorder {
 
     /// Installs `recorder` as this thread's [`TraceRecorder::current`]
     /// until the returned guard drops. Overrides nest (innermost wins).
-    #[must_use = "dropping the guard immediately uninstalls the override"]
-    pub fn push_current(recorder: Arc<TraceRecorder>) -> CurrentTraceGuard {
-        CurrentTraceGuard {
-            _inner: CURRENT_STACK.push(recorder),
-        }
+    pub fn push_current(recorder: Arc<TraceRecorder>) -> zr_par::context::Guard<TraceRecorder> {
+        CURRENT_STACK.push(recorder)
     }
 
     /// Allocates the id of a refresh engine recording here: 0, 1, 2, …
@@ -386,15 +383,6 @@ impl Drop for TraceRecorder {
     fn drop(&mut self) {
         self.finalize();
     }
-}
-
-/// RAII guard of one [`TraceRecorder::push_current`] override; dropping
-/// it pops the override from this thread's stack.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately uninstalls the override"]
-pub struct CurrentTraceGuard {
-    /// Held for its Drop impl, which pops the override.
-    _inner: zr_par::context::Guard<TraceRecorder>,
 }
 
 #[cfg(test)]

@@ -279,7 +279,6 @@ mod tests {
         EngineMeta {
             engine,
             policy: POLICY_CHARGE_AWARE,
-            allbank: false,
             num_banks: 2,
             num_chips: 2,
             ar_rows: 1,

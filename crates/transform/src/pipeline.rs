@@ -136,11 +136,6 @@ impl ValueTransformer {
         self.metrics.flush();
     }
 
-    /// The cacheline geometry this transformer was built with.
-    pub fn line_config(&self) -> &CachelineConfig {
-        &self.line
-    }
-
     /// The stage toggles this transformer was built with.
     pub fn stages(&self) -> &TransformConfig {
         &self.stages

@@ -31,13 +31,6 @@ pub enum Error {
         /// The simulated capacity in bytes.
         capacity: u64,
     },
-    /// An access was not aligned to the required granularity.
-    MisalignedAccess {
-        /// The offending byte address.
-        addr: u64,
-        /// The required alignment in bytes.
-        alignment: usize,
-    },
     /// A buffer had the wrong length for the requested operation.
     BadLength {
         /// The length that was provided.
@@ -76,9 +69,6 @@ impl fmt::Display for Error {
                 f,
                 "address {addr:#x} out of range for capacity {capacity} bytes"
             ),
-            Error::MisalignedAccess { addr, alignment } => {
-                write!(f, "address {addr:#x} not aligned to {alignment} bytes")
-            }
             Error::BadLength { got, expected } => {
                 write!(f, "buffer length {got} does not match expected {expected}")
             }
@@ -120,15 +110,6 @@ mod tests {
                 reason: "bad".to_string()
             }
         );
-    }
-
-    #[test]
-    fn misaligned_display() {
-        let e = Error::MisalignedAccess {
-            addr: 0x41,
-            alignment: 64,
-        };
-        assert!(e.to_string().contains("64"));
     }
 
     #[test]

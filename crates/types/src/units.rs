@@ -46,26 +46,11 @@ impl Picojoules {
     pub fn to_millijoules(self) -> f64 {
         self.0 * 1e-9
     }
-
-    /// Converts to joules.
-    pub fn to_joules(self) -> f64 {
-        self.0 * 1e-12
-    }
-
-    /// Builds an energy value from nanojoules.
-    pub fn from_nanojoules(nj: f64) -> Self {
-        Picojoules(nj * 1e3)
-    }
 }
 
 impl Milliwatts {
     /// Zero power.
     pub const ZERO: Milliwatts = Milliwatts(0.0);
-
-    /// Converts to watts.
-    pub fn to_watts(self) -> f64 {
-        self.0 * 1e-3
-    }
 
     /// Builds a power value from watts.
     pub fn from_watts(w: f64) -> Self {

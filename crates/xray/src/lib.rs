@@ -41,7 +41,7 @@ pub mod recorder;
 pub mod report;
 pub mod snapshot;
 
-pub use recorder::{CurrentXrayGuard, XrayRecorder, DEFAULT_WINDOW_CAP};
+pub use recorder::{XrayRecorder, DEFAULT_WINDOW_CAP};
 pub use snapshot::{
     combo_name, stage_combo, ArRow, BankStateRow, EngineCapture, StageCapture, XraySnapshot,
     COMBO_COUNT, SCHEMA_VERSION, STAGE_COUNT, STAGE_NAMES,

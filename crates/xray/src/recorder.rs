@@ -168,11 +168,8 @@ impl XrayRecorder {
 
     /// Installs `recorder` as this thread's [`XrayRecorder::current`]
     /// until the returned guard drops. Overrides nest (innermost wins).
-    #[must_use = "dropping the guard immediately uninstalls the override"]
-    pub fn push_current(recorder: Arc<XrayRecorder>) -> CurrentXrayGuard {
-        CurrentXrayGuard {
-            _inner: CURRENT_STACK.push(recorder),
-        }
+    pub fn push_current(recorder: Arc<XrayRecorder>) -> zr_par::context::Guard<XrayRecorder> {
+        CURRENT_STACK.push(recorder)
     }
 
     /// Forks a private recorder for one parallel sweep job: active with
@@ -394,15 +391,6 @@ impl XrayRecorder {
                 .collect(),
         }
     }
-}
-
-/// RAII guard of one [`XrayRecorder::push_current`] override; dropping
-/// it pops the override from this thread's stack.
-#[derive(Debug)]
-#[must_use = "dropping the guard immediately uninstalls the override"]
-pub struct CurrentXrayGuard {
-    /// Held for its Drop impl, which pops the override.
-    _inner: zr_par::context::Guard<XrayRecorder>,
 }
 
 #[cfg(test)]

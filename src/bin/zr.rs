@@ -6,7 +6,8 @@
 //! zr traces                      the data-center trace models
 //! zr transform <preset> [row]    walk one cacheline through the pipeline
 //! zr measure <bench> [alloc%] [row_bytes] [normal|extended]
-//! zr compare <bench> [alloc%]    ZERO-REFRESH vs prior work
+//! zr compare <bench> [alloc%] [row_bytes] [normal|extended]
+//!                                ZERO-REFRESH vs prior work
 //! ```
 //!
 //! Every env knob is checked before any work. Output goes through
@@ -32,7 +33,8 @@ zr — ZERO-REFRESH (HPCA 2020) reproduction
   zr traces                      the data-center trace models
   zr transform <preset> [row]    presets: pointer smallint zero text random
   zr measure <bench> [alloc%] [row_bytes] [normal|extended]
-  zr compare <bench> [alloc%]    ZERO-REFRESH vs prior work
+  zr compare <bench> [alloc%] [row_bytes] [normal|extended]
+                                 ZERO-REFRESH vs prior work
 ";
 
 fn main() {
@@ -54,15 +56,6 @@ fn run(args: &[String], out: &mut Stdout) -> CmdResult {
         Some("measure") => measure(&args[1..], out),
         Some("compare") => compare(&args[1..], out),
         _ => Ok(out.write_all(USAGE.as_bytes())?),
-    }
-}
-
-fn experiment(alloc_unused: Option<&String>) -> ExperimentConfig {
-    let _ = alloc_unused;
-    ExperimentConfig {
-        capacity_bytes: 16 << 20,
-        windows: 4,
-        ..ExperimentConfig::default()
     }
 }
 
@@ -276,9 +269,11 @@ fn parse_measure_args(args: &[String]) -> Result<(Benchmark, f64, ExperimentConf
         }
     };
     let exp = ExperimentConfig {
+        capacity_bytes: 16 << 20,
+        windows: 4,
         row_bytes,
         temperature,
-        ..experiment(None)
+        ..ExperimentConfig::default()
     };
     // The row size is the only field the arguments set that can fail.
     exp.validate().map_err(|e| match e {
@@ -317,8 +312,7 @@ fn measure(args: &[String], out: &mut Stdout) -> CmdResult {
 }
 
 fn compare(args: &[String], out: &mut Stdout) -> CmdResult {
-    let (benchmark, alloc, _) = parse_measure_args(args)?;
-    let exp = experiment(None);
+    let (benchmark, alloc, exp) = parse_measure_args(args)?;
     let c = priorwork::compare(benchmark, alloc, &exp)?;
     writeln!(
         out,

@@ -32,8 +32,8 @@
 //! use zero_refresh_suite::prelude::*;
 //!
 //! let mut sys = ZeroRefreshSystem::new(&SystemConfig::small_test())?;
-//! sys.write_bytes(0, &[1u8; 64])?;
-//! assert_eq!(sys.read_bytes(0, 64)?, vec![1u8; 64]);
+//! sys.write_line(LineAddr(0), &[1u8; 64])?;
+//! assert_eq!(sys.read_line(LineAddr(0))?, vec![1u8; 64]);
 //! # Ok::<(), Error>(())
 //! ```
 

@@ -119,6 +119,29 @@ fn valid_measure_call_is_reported() {
 }
 
 #[test]
+fn compare_measures_at_its_row_size_and_temperature() {
+    let table = |args: &[&str]| {
+        let (code, stdout, stderr) = zr(args);
+        assert_eq!(code, Some(0), "zr {args:?}: stderr {stderr}");
+        stdout
+    };
+    let zero_refresh_line = |stdout: &str| {
+        let line = stdout.lines().find(|l| l.contains("zero-refresh:"));
+        line.unwrap_or_else(|| panic!("no zero-refresh line in:\n{stdout}"))
+            .to_string()
+    };
+    // The defaults spelled out change nothing...
+    let defaults = table(&["compare", "mcf", "5"]);
+    assert_eq!(
+        table(&["compare", "mcf", "5", "4096", "extended"]),
+        defaults
+    );
+    // ...and another row size and temperature measure another system.
+    let other = table(&["compare", "mcf", "5", "8192", "normal"]);
+    assert_ne!(zero_refresh_line(&other), zero_refresh_line(&defaults));
+}
+
+#[test]
 fn transform_rejects_a_bad_row_by_name() {
     assert_args_rejected(
         &["transform", "pointer", "abc"],
