@@ -75,7 +75,7 @@ fn values_that_fell_back_to_the_default_are_rejected_by_name() {
         ("ZR_THREADS", "abc", "a positive integer"),
         ("ZR_THREADS", "0", "a positive integer"),
         ("ZR_XRAY_WINDOWS", "zero", "a positive integer"),
-        ("ZR_TELEMETRY_SAMPLE", "-5", "a positive integer"),
+        ("ZR_XRAY_WINDOWS", "-5", "a positive integer"),
         ("ZR_PROGRESS", "yes", "0 or 1"),
     ] {
         assert_rejected(

@@ -16,6 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use zr_insight::PerfHistory;
 use zr_lens::manifest::hex64;
 use zr_lens::{LoadedRun, Manifest};
 use zr_workloads::Benchmark;
@@ -159,8 +160,8 @@ fn manifests_reconcile_and_dashboards_are_thread_invariant() {
     // run-local absolute path.
     let run1 = LoadedRun::load_without_trace(&manifest_path(&t1)).expect("load run t1");
     let run4 = LoadedRun::load_without_trace(&manifest_path(&t4)).expect("load run t4");
-    let html1 = zr_lens::render(&run1, &[]);
-    let html4 = zr_lens::render(&run4, &[]);
+    let html1 = zr_lens::render(&run1, &PerfHistory::default());
+    let html4 = zr_lens::render(&run4, &PerfHistory::default());
     assert_eq!(html1, html4, "lens.html differs between 1 and 4 threads");
     assert!(
         !html1.contains(t1.to_str().expect("utf8 scratch path")),

@@ -15,6 +15,7 @@ use zr_bench::figures;
 use zr_bench::report::report_json;
 use zr_sim::experiments::{ipc_sim, ExperimentConfig};
 use zr_telemetry::Telemetry;
+use zr_types::json::{to_compact, Json};
 use zr_workloads::Benchmark;
 
 /// Fast representative slice: a friendly scientific workload, a hostile
@@ -59,6 +60,38 @@ fn fig14_counters_are_identical_across_thread_counts() {
         counters(4),
         "fig14 counters diverged under the pool"
     );
+}
+
+#[test]
+fn fig14_events_are_identical_across_thread_counts() {
+    // Every event kind is recorded unsampled, so the merged stream of a
+    // pooled sweep is the serial stream but for the wall-clock `t_us`
+    // and the per-job `seq`.
+    let events = |threads: usize| {
+        let telemetry = Arc::new(Telemetry::new());
+        let sink = telemetry.install_memory_sink();
+        let _guard = Telemetry::push_current(Arc::clone(&telemetry));
+        figures::fig14_refresh_reduction_for(&SUBSET, &exp_at(threads)).unwrap();
+        let lines = sink.take_lines();
+        lines
+            .iter()
+            .map(|line| match Json::parse(line).expect("event line") {
+                Json::Obj(mut fields) => {
+                    fields.retain(|(key, _)| key != "seq" && key != "t_us");
+                    to_compact(&Json::Obj(fields))
+                }
+                other => panic!("event line is not an object: {other:?}"),
+            })
+            .collect::<Vec<_>>()
+    };
+    let serial = events(1);
+    assert!(
+        serial
+            .iter()
+            .any(|l| l.contains("\"type\":\"refresh_window\"")),
+        "{serial:?}"
+    );
+    assert_eq!(serial, events(4), "fig14 events diverged under the pool");
 }
 
 #[test]

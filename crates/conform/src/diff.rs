@@ -1,7 +1,7 @@
 //! The differential side of the harness: drive the production
-//! `zr-dram` stack and the [`RefOracle`](crate::oracle::RefOracle)
-//! through identical command sequences and fail loudly — with a
-//! debuggable report — on the first disagreement.
+//! `zr-dram` stack and the [`RefOracle`] through identical command
+//! sequences and fail loudly — with a debuggable report — on the first
+//! disagreement.
 
 use std::fmt;
 use std::path::PathBuf;

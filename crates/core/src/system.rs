@@ -164,11 +164,6 @@ impl ZeroRefreshSystem {
         self.controller.run_refresh_window()
     }
 
-    /// Retention windows run so far.
-    pub fn windows_run(&self) -> u64 {
-        self.windows
-    }
-
     /// The ZERO-REFRESH energy breakdown for the activity so far
     /// (refreshes performed, status-table traffic, EBDI operations and
     /// tracking-SRAM leakage).
@@ -246,7 +241,7 @@ mod tests {
         s.run_refresh_window();
         let w = s.run_refresh_window();
         assert_eq!(w.rows_refreshed, 0);
-        assert_eq!(s.windows_run(), 2);
+        assert_eq!(s.refresh_summary().windows, 2);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! The original per-cell byte-scan path is retained behind
 //! `#[cfg(any(test, feature = "scalar-oracle"))]` as the differential
-//! reference oracle ([`DramRank::set_force_scalar`]); debug builds with
+//! reference oracle (`DramRank::set_force_scalar`); debug builds with
 //! the oracle compiled in assert the two paths agree on every query. A
 //! seeded battery in the tests checks every packed bit against it after
 //! each write, cleanse and forced charge, for segments of 1 to 128 bytes.

@@ -704,13 +704,6 @@ impl RefreshEngine {
                 } else {
                     scan_discharged
                 };
-                self.telemetry.emit(|| Event::SkipDecision {
-                    bank: bank.0,
-                    set,
-                    trusted,
-                    rows_refreshed: out.rows_refreshed,
-                    rows_skipped: out.rows_skipped,
-                });
                 if tracing {
                     let kind = if trusted {
                         RecordKind::RefSkip

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use zr_dram::{DramRank, RefreshEngine, RefreshPolicy, WindowStats};
 use zr_telemetry::Telemetry;
+use zr_transform::ValueTransformer;
 use zr_types::geometry::{BankId, RowIndex};
 use zr_types::SystemConfig;
 
@@ -87,22 +88,39 @@ fn accumulated_window_stats_match_summed_counter_deltas() {
     );
 }
 
+/// Skip decisions and transform stages are recorded once, by the trace
+/// (`ref_skip`/`ref_issue` and `transform` records); the event stream
+/// keeps one summary per refresh window.
 #[test]
-fn refresh_windows_emit_events_when_sink_installed() {
+fn encoded_writes_and_windows_record_only_window_summaries() {
     let cfg = SystemConfig::small_test();
     let mut rank = DramRank::new(&cfg).unwrap();
     let telemetry = Arc::new(Telemetry::new());
     let sink = telemetry.install_memory_sink();
     let mut eng = engine_on(&telemetry, &cfg, RefreshPolicy::ChargeAware);
-
+    let transformer = {
+        let _telemetry = Telemetry::push_current(Arc::clone(&telemetry));
+        ValueTransformer::new(&cfg).unwrap()
+    };
+    for row in 0..16 {
+        let mut line = vec![row as u8; cfg.line.line_bytes];
+        transformer
+            .encode_in_place(&mut line, RowIndex(row))
+            .unwrap();
+        rank.write_encoded_line(BankId(0), RowIndex(row), 0, &line)
+            .unwrap();
+        eng.note_write(&rank, BankId(0), RowIndex(row));
+    }
     eng.run_window(&mut rank);
     eng.run_window(&mut rank);
 
-    // One RefreshWindow summary per window, plus (sampled) per-AR-set
-    // skip decisions.
-    assert!(sink.recorded() >= 2);
+    // One RefreshWindow summary per window, and nothing else.
     let lines = sink.take_lines();
-    assert_eq!(lines.len() as u64, sink.recorded());
+    assert_eq!(lines.len(), 2, "{lines:#?}");
+    assert_eq!(sink.recorded(), 2);
+    for line in &lines {
+        assert!(line.contains("\"type\":\"refresh_window\""), "{line}");
+    }
 }
 
 #[test]

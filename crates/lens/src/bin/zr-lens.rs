@@ -17,8 +17,10 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use zr_insight::PerfHistory;
 use zr_lens::manifest::hex64;
 use zr_lens::{LoadedRun, Manifest};
+use zr_types::json::Json;
 use zr_types::Stdout;
 
 fn usage() -> ExitCode {
@@ -105,15 +107,18 @@ fn cmd_html(rest: &[String], out: &mut Stdout) -> io::Result<ExitCode> {
                     return Ok(ExitCode::FAILURE);
                 }
             };
-            match zr_lens::parse_history(&text) {
-                Ok(series) => series,
+            let history = Json::parse(&text)
+                .map_err(|e| format!("{}: {e}", path.display()))
+                .and_then(|doc| PerfHistory::from_doc(&doc));
+            match history {
+                Ok(history) => history,
                 Err(message) => {
                     eprintln!("zr-lens: {message}");
                     return Ok(ExitCode::FAILURE);
                 }
             }
         }
-        None => Vec::new(),
+        None => PerfHistory::default(),
     };
     let html_path = out_path.unwrap_or_else(|| {
         manifest_path

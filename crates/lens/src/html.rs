@@ -14,8 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use zr_insight::{HistoryEntry, PerfHistory};
 use zr_prof::{Profile, ProfileNode};
-use zr_types::json::Json;
 use zr_types::knobs::{self, Grammar, Kind};
 use zr_xray::{EngineCapture, XraySnapshot};
 
@@ -41,57 +41,9 @@ fn esc(text: &str) -> String {
     out
 }
 
-/// One slice's history series parsed out of `BENCH_perf.json`:
-/// `(slice name, calibration-normalized wall per blessed run, oldest
-/// first)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistorySeries {
-    /// Slice name (`fig14_subset`, ...).
-    pub name: String,
-    /// Normalized wall cost per entry, oldest → newest.
-    pub normalized: Vec<f64>,
-}
-
-/// Parses the `history` key of a `BENCH_perf.json` document into
-/// sparkline series. A missing key yields an empty list.
-///
-/// # Errors
-///
-/// A message on JSON syntax errors.
-pub fn parse_history(text: &str) -> Result<Vec<HistorySeries>, String> {
-    let doc = Json::parse(text).map_err(|e| format!("perf history: {e}"))?;
-    let Some(Json::Obj(slices)) = doc.get("history") else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for (name, entries) in slices {
-        let mut normalized = Vec::new();
-        for entry in entries.as_arr().unwrap_or(&[]) {
-            let wall = entry
-                .get("wall_ns_best")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let cal = entry
-                .get("calibration_wall_ns")
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            let value = if cal == 0 {
-                wall as f64
-            } else {
-                wall as f64 / cal as f64
-            };
-            normalized.push(value);
-        }
-        out.push(HistorySeries {
-            name: name.clone(),
-            normalized,
-        });
-    }
-    Ok(out)
-}
-
-/// Renders the dashboard for `run`, with optional perf history.
-pub fn render(run: &LoadedRun, history: &[HistorySeries]) -> String {
+/// Renders the dashboard for `run`, with the perf history of a
+/// `BENCH_perf.json` (an empty history renders a hint instead).
+pub fn render(run: &LoadedRun, history: &PerfHistory) -> String {
     let mut out = String::with_capacity(64 * 1024);
     out.push_str("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n");
     out.push_str(&format!(
@@ -423,21 +375,24 @@ fn render_xray(xray: Option<&XraySnapshot>, out: &mut String) {
     }
 }
 
-fn render_history(history: &[HistorySeries], out: &mut String) {
+/// One sparkline per slice of calibration-normalized wall costs
+/// ([`HistoryEntry::normalized_wall`]), oldest first.
+fn render_history(history: &PerfHistory, out: &mut String) {
     out.push_str("<h2>Perf-baseline history</h2>\n");
-    if history.is_empty() {
+    if history.slices.is_empty() {
         out.push_str(
             "<p class=\"muted\">No history (pass --history BENCH_perf.json to zr-lens html).</p>\n",
         );
         return;
     }
-    for series in history {
+    for (name, entries) in &history.slices {
         out.push_str(&format!(
             "<div class=\"spark\"><strong>{}</strong> ({} blessed runs)<br>\n",
-            esc(&series.name),
-            series.normalized.len()
+            esc(name),
+            entries.len()
         ));
-        out.push_str(&sparkline(&series.normalized));
+        let normalized: Vec<f64> = entries.iter().map(HistoryEntry::normalized_wall).collect();
+        out.push_str(&sparkline(&normalized));
         out.push_str("</div>\n");
     }
 }
@@ -484,6 +439,7 @@ mod tests {
     use super::*;
     use crate::manifest::Manifest;
     use std::path::PathBuf;
+    use zr_types::json::Json;
 
     fn run_with_profile() -> LoadedRun {
         let profile = Profile {
@@ -524,8 +480,8 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_self_contained() {
         let run = run_with_profile();
-        let a = render(&run, &[]);
-        let b = render(&run, &[]);
+        let a = render(&run, &PerfHistory::default());
+        let b = render(&run, &PerfHistory::default());
         assert_eq!(a, b);
         assert!(a.contains("<!DOCTYPE html>"));
         assert!(a.contains("zr-lens: fig14"));
@@ -539,7 +495,7 @@ mod tests {
     #[test]
     fn render_contains_no_wall_time_figures() {
         let run = run_with_profile();
-        let html = render(&run, &[]);
+        let html = render(&run, &PerfHistory::default());
         // The profile carries wall_ns=100/60; none of it may render.
         assert!(!html.contains("wall"));
         assert!(html.contains("4 calls"));
@@ -550,7 +506,7 @@ mod tests {
     fn escapes_untrusted_strings() {
         let mut run = run_with_profile();
         run.manifest.figure = "<img src=x>".into();
-        let html = render(&run, &[]);
+        let html = render(&run, &PerfHistory::default());
         assert!(!html.contains("<img src=x>"));
         assert!(html.contains("&lt;img src=x&gt;"));
     }
@@ -565,20 +521,23 @@ mod tests {
 
     #[test]
     fn history_parser_reads_the_bench_perf_shape() {
-        let doc = r#"{
-  "schema": 3,
-  "history": {
-    "fig14_subset": [
-      { "wall_ns_best": 100, "calibration_wall_ns": 10 },
-      { "wall_ns_best": 240, "calibration_wall_ns": 12 }
-    ]
-  }
-}"#;
-        let series = parse_history(doc).expect("parse");
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].name, "fig14_subset");
-        assert_eq!(series[0].normalized, vec![10.0, 20.0]);
-        assert_eq!(parse_history("{}").expect("no key"), Vec::new());
+        let entry = |wall: u64, cal: u64| {
+            format!(
+                r#"{{ "wall_ns_best": {wall}, "throughput_per_s": 1.5, "allocs": 3,
+                     "calibration_wall_ns": {cal}, "threads": 1, "peak_rss_bytes": 0 }}"#
+            )
+        };
+        let doc = format!(
+            r#"{{ "schema": 3, "history": {{ "fig14_subset": [{}, {}] }} }}"#,
+            entry(100, 10),
+            entry(240, 12)
+        );
+        let history = PerfHistory::from_doc(&Json::parse(&doc).expect("json")).expect("parse");
+        let mut html = String::new();
+        render_history(&history, &mut html);
+        assert!(html.contains("<strong>fig14_subset</strong> (2 blessed runs)"));
+        // Normalized walls 10 and 20 span the whole box.
+        assert!(html.contains("5.000,35.000 235.000,5.000"), "{html}");
     }
 
     #[test]

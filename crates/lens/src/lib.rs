@@ -13,9 +13,9 @@
 //!   varying facts (wall time, peak RSS, wall-bearing artifact
 //!   checksums) are quarantined under one `volatile` key so the rest
 //!   of the document is byte-deterministic.
-//! - [`audit`] — `zr-lens audit manifest.json` cross-checks the layers
-//!   against each other (counters ↔ totals ↔ xray rows ↔ trace
-//!   records ↔ span counts) and fails loudly on the first
+//! - [`audit`](mod@audit) — `zr-lens audit manifest.json` cross-checks
+//!   the layers against each other (counters ↔ totals ↔ xray rows ↔
+//!   trace records ↔ span counts) and fails loudly on the first
 //!   disagreement, naming `(layer, key, lhs, rhs)`.
 //! - [`html`] — `zr-lens html manifest.json` renders one
 //!   self-contained dashboard file: span timeline, call-weighted
@@ -25,8 +25,9 @@
 //!   counts.
 //!
 //! The crate deliberately depends only on the format-owning crates it
-//! parses (`zr-telemetry`, `zr-trace`, `zr-xray`, `zr-prof`), each read
-//! through its own `from_json` over the shared `zr_types::json` codec.
+//! parses (`zr-telemetry`, `zr-trace`, `zr-xray`, `zr-prof`, and
+//! `zr-insight` for the `BENCH_perf.json` history), each read through
+//! its own `from_json` over the shared `zr_types::json` codec.
 
 #![warn(missing_docs)]
 
@@ -36,7 +37,7 @@ pub mod manifest;
 pub mod run;
 
 pub use audit::{audit, audit_run, AuditReport, Mismatch};
-pub use html::{parse_history, render, HistorySeries};
+pub use html::render;
 pub use manifest::{
     collect_artifacts, drain_artifacts, fnv64, hex64, register_artifact, relativize, Artifact,
     Manifest, RunTotals, Volatile, FILE_NAME,

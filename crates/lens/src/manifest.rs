@@ -2,7 +2,7 @@
 //! what was simulated, with which knobs, and exactly which artifact
 //! bytes the run left behind.
 //!
-//! The manifest is the root of trust for [`crate::audit`]: every other
+//! The manifest is the root of trust for [`crate::audit()`]: every other
 //! artifact is located *through* it (relative paths) and integrity-
 //! checked *against* it (byte length + FNV-1a checksum) before any
 //! cross-layer reconciliation runs.

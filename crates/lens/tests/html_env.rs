@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use zr_insight::PerfHistory;
 use zr_lens::{LoadedRun, Manifest};
 
 #[test]
@@ -17,7 +18,7 @@ fn env_table_renders_by_kind_and_grammar() {
         ("ZR_XRAY", Some("1")),
         ("ZR_WINDOWS", Some("2")),
         ("ZR_TRACE_RING", Some("8")),
-        ("ZR_TELEMETRY_SAMPLE", None),
+        ("ZR_XRAY_WINDOWS", None),
     ] {
         manifest
             .env
@@ -31,7 +32,7 @@ fn env_table_renders_by_kind_and_grammar() {
         trace: None,
         profile: None,
     };
-    let html = zr_lens::render(&run, &[]);
+    let html = zr_lens::render(&run, &PerfHistory::default());
     let row = |knob: &str, shown: &str| {
         format!("<tr><td class=\"l\">{knob}</td><td class=\"l\">{shown}</td></tr>")
     };
@@ -51,7 +52,7 @@ fn env_table_renders_by_kind_and_grammar() {
         row("ZR_XRAY", set),
         row("ZR_WINDOWS", "2"),
         row("ZR_TRACE_RING", "8"),
-        row("ZR_TELEMETRY_SAMPLE", unset),
+        row("ZR_XRAY_WINDOWS", unset),
     ] {
         assert!(html.contains(&expected), "missing {expected}");
     }

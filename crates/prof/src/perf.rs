@@ -201,8 +201,10 @@ impl PerfReport {
                 peak_rss_bytes: s.get("peak_rss_bytes").and_then(Json::as_u64).unwrap_or(0),
             });
         }
+        let schema = num("schema")?;
         Ok(PerfReport {
-            schema: num("schema")? as u32,
+            schema: u32::try_from(schema)
+                .map_err(|_| format!("BENCH_perf.json: `schema` = {schema} exceeds u32"))?,
             quick: matches!(doc.get("quick"), Some(Json::Bool(true))),
             calibration_wall_ns: num("calibration_wall_ns")?,
             peak_rss_bytes: num("peak_rss_bytes")?,
@@ -477,6 +479,20 @@ mod tests {
         let text = r.to_json().to_pretty();
         let back = PerfReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn rejects_schema_beyond_u32() {
+        // 2^32 + 3 used to load as schema 3.
+        let mut doc = report(1, vec![slice("a", 1, 1)]).to_json();
+        if let Json::Obj(fields) = &mut doc {
+            let schema = fields.iter_mut().find(|(k, _)| k == "schema").unwrap();
+            schema.1 = Json::Int((1 << 32) + 3);
+        }
+        assert_eq!(
+            PerfReport::from_json(&doc).unwrap_err(),
+            "BENCH_perf.json: `schema` = 4294967299 exceeds u32"
+        );
     }
 
     #[test]

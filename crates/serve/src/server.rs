@@ -148,7 +148,7 @@ impl Handle {
     ///
     /// The compute function's error, verbatim, delivered to *every*
     /// waiter of the failed job. A panicking compute is caught by the
-    /// worker ([`run_job`]'s unwind guard) and delivered the same way,
+    /// worker (`run_job`'s unwind guard) and delivered the same way,
     /// as [`Error::InvalidConfig`]; the channel-closed fallback below is
     /// defensive only — no live code path drops a claimed waiter.
     pub fn wait(self) -> Result<ServeReply> {

@@ -91,9 +91,9 @@ impl ExperimentConfig {
     }
 
     /// The configuration the conformance golden gates (`zr-conform`)
-    /// run the figure experiments at: as small as [`tiny_test`] but with
-    /// its own fixed seed, so blessing a golden snapshot does not couple
-    /// to the unit-test knobs.
+    /// run the figure experiments at: as small as [`Self::tiny_test`] but
+    /// with its own fixed seed, so blessing a golden snapshot does not
+    /// couple to the unit-test knobs.
     pub fn conform_test() -> Self {
         ExperimentConfig {
             capacity_bytes: 4 << 20,

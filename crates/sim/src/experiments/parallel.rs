@@ -21,9 +21,9 @@
 //! - figure JSON reports are byte-identical for `ZR_THREADS=1` and
 //!   `ZR_THREADS=N` (asserted by `crates/bench/tests/parallel_equivalence.rs`);
 //! - merged telemetry registry snapshots are identical for any thread
-//!   count. The raw `events.jsonl` *line order* groups by job rather
-//!   than interleaving, and per-line sequence numbers restart per job —
-//!   aggregate counts are exact, the interleaving is not promised.
+//!   count, and so are the `events.jsonl` lines apart from `t_us`, the
+//!   per-line sequence numbers (they restart per job), report paths and
+//!   the wall-clock cadence of `sweep_progress` lines.
 //!
 //! `threads <= 1` (or a single job) takes a literal serial path — no
 //! pool, no forked contexts — so `ZR_THREADS=1` reproduces the

@@ -99,8 +99,9 @@ fn measure_prefixes(
     tweak: impl FnOnce(&mut SystemConfig),
 ) -> Result<Vec<(RefreshMeasurement, u64)>> {
     let telemetry = zr_telemetry::Telemetry::current();
-    // Everything recorded inside this run — refresh-window summaries,
-    // skip decisions, transform events — is tagged with the workload.
+    // Everything recorded inside this run — refresh-window and
+    // experiment summaries, xray engine labels — is tagged with the
+    // workload.
     let _scope = telemetry.scope(benchmark.name());
     populate(benchmark, allocs, policy, exp, tweak, |alloc, mut ps| {
         run_windows(benchmark, alloc, &mut ps, exp)

@@ -2,13 +2,12 @@
 //!
 //! Events are only materialized when a sink is installed (see
 //! [`crate::Telemetry::emit`]); with no sink the emit path is a single
-//! relaxed atomic load, so instrumented hot paths stay at baseline cost.
+//! relaxed atomic load, so instrumented code stays at baseline cost.
 //!
-//! High-rate event kinds (per-AR-set skip decisions, per-line transform
-//! outcomes, per-request row-buffer transitions) are sampled: by default
-//! one in [`SampleConfig::DEFAULT_RATE`] records reaches the sink, so the
-//! stream stays proportional to the interesting low-rate events. The rate
-//! is tunable via `ZR_TELEMETRY_SAMPLE` (`1` = keep everything).
+//! Every kind is low-rate: one per refresh window, experiment, progress
+//! tick or report write. Per-AR-set skip decisions, per-line transform
+//! stages and per-request row-buffer outcomes are recorded exactly, once,
+//! by `zr-trace` (`docs/TELEMETRY.md` maps each to its trace record).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -41,44 +40,6 @@ pub enum Event {
         table_writes: u64,
         /// Fraction of chip-row refreshes skipped.
         skip_fraction: f64,
-    },
-    /// One per-AR-set skip decision (sampled).
-    SkipDecision {
-        /// Bank the AR command addressed.
-        bank: usize,
-        /// AR set within the bank.
-        set: u64,
-        /// Whether the access bit allowed the stored status to be
-        /// trusted (true = skip path, false = refresh + rescan).
-        trusted: bool,
-        /// Chip-rows refreshed by this command.
-        rows_refreshed: u64,
-        /// Chip-rows skipped by this command.
-        rows_skipped: u64,
-    },
-    /// One value-transformation pipeline application (sampled).
-    TransformStage {
-        /// `"encode"` or `"decode"`.
-        op: &'static str,
-        /// Destination rank-row.
-        row: u64,
-        /// Whether the EBDI stage ran.
-        ebdi: bool,
-        /// Whether the bit-plane transposition ran.
-        bit_plane: bool,
-        /// Whether the line was inverted for an anti-cell row.
-        inverted: bool,
-        /// Whether the rotation stage ran.
-        rotation: bool,
-    },
-    /// One row-buffer state transition in the timing simulator (sampled).
-    RowBuffer {
-        /// Bank index.
-        bank: usize,
-        /// Addressed rank-row.
-        row: u64,
-        /// `"hit"`, `"closed"` or `"conflict"`.
-        outcome: &'static str,
     },
     /// One experiment summary from a `zr-sim` driver.
     ExperimentSummary {
@@ -117,20 +78,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// The sampling counter of a sampled kind: each kind counts only its
-    /// own events, so which ones a sink keeps does not depend on how many
-    /// events of other kinds came between them.
-    fn sample_slot(&self) -> Option<usize> {
-        match self {
-            Event::SkipDecision { .. } => Some(0),
-            Event::TransformStage { .. } => Some(1),
-            Event::RowBuffer { .. } => Some(2),
-            _ => None,
-        }
-    }
-}
-
 /// The members of an object keyed by the given bindings' names:
 /// `fields!(a, b)` is `vec![("a", a.to_json()), ("b", b.to_json())]`.
 macro_rules! fields {
@@ -163,28 +110,6 @@ impl Event {
                     skip_fraction
                 ),
             ),
-            Event::SkipDecision {
-                bank,
-                set,
-                trusted,
-                rows_refreshed,
-                rows_skipped,
-            } => (
-                "skip_decision",
-                fields!(bank, set, trusted, rows_refreshed, rows_skipped),
-            ),
-            Event::TransformStage {
-                op,
-                row,
-                ebdi,
-                bit_plane,
-                inverted,
-                rotation,
-            } => (
-                "transform_stage",
-                fields!(op, row, ebdi, bit_plane, inverted, rotation),
-            ),
-            Event::RowBuffer { bank, row, outcome } => ("row_buffer", fields!(bank, row, outcome)),
             Event::ExperimentSummary {
                 benchmark,
                 alloc_fraction,
@@ -226,26 +151,6 @@ impl ToJson for Event {
     }
 }
 
-/// Sampling configuration for high-rate event kinds.
-#[derive(Debug, Clone, Copy)]
-pub struct SampleConfig {
-    /// Keep one of every `rate` sampled-kind events (1 = keep all).
-    pub rate: u64,
-}
-
-impl SampleConfig {
-    /// Default sampling rate for high-rate kinds.
-    pub const DEFAULT_RATE: u64 = 64;
-}
-
-impl Default for SampleConfig {
-    fn default() -> Self {
-        SampleConfig {
-            rate: Self::DEFAULT_RATE,
-        }
-    }
-}
-
 #[derive(Debug)]
 enum Target {
     Memory(Vec<String>),
@@ -257,17 +162,13 @@ enum Target {
 pub struct EventSink {
     target: Mutex<Target>,
     seq: AtomicU64,
-    dropped: AtomicU64,
     started: Instant,
-    sample: SampleConfig,
-    /// One counter per sampled kind ([`Event::sample_slot`]).
-    sample_counters: [AtomicU64; 3],
 }
 
 impl EventSink {
     /// An in-memory sink (tests, programmatic consumers).
-    pub fn memory(sample: SampleConfig) -> Self {
-        EventSink::with_target(Target::Memory(Vec::new()), sample)
+    pub fn memory() -> Self {
+        EventSink::with_target(Target::Memory(Vec::new()))
     }
 
     /// A sink appending JSONL records to `path`.
@@ -275,46 +176,21 @@ impl EventSink {
     /// # Errors
     ///
     /// Returns the underlying IO error if the file cannot be created.
-    pub fn file(path: &Path, sample: SampleConfig) -> std::io::Result<Self> {
+    pub fn file(path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
-        Ok(EventSink::with_target(
-            Target::File(BufWriter::new(file)),
-            sample,
-        ))
+        Ok(EventSink::with_target(Target::File(BufWriter::new(file))))
     }
 
-    fn with_target(target: Target, sample: SampleConfig) -> Self {
+    fn with_target(target: Target) -> Self {
         EventSink {
             target: Mutex::new(target),
             seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             started: Instant::now(),
-            sample,
-            sample_counters: Default::default(),
         }
     }
 
-    /// Whether a sampled-kind event should be recorded right now: the
-    /// first of every `rate` events of its kind is.
-    fn admit(&self, event: &Event) -> bool {
-        let Some(slot) = event.sample_slot() else {
-            return true;
-        };
-        let n = self.sample_counters[slot].fetch_add(1, Ordering::Relaxed);
-        if n.is_multiple_of(self.sample.rate) {
-            true
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-
-    /// Records `event` (subject to sampling) under the given scope/span
-    /// context.
+    /// Records `event` under the given scope/span context.
     pub fn record(&self, event: &Event, scope: Option<String>, span: Option<String>) {
-        if !self.admit(event) {
-            return;
-        }
         // One JSONL record: `seq`, `t_us`, the optional context tags,
         // then the event's own members.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -333,14 +209,7 @@ impl EventSink {
         }
     }
 
-    /// The sampling configuration this sink was built with (per-job
-    /// forks copy it so a pooled sweep samples at the same rate).
-    pub fn sample_config(&self) -> SampleConfig {
-        self.sample
-    }
-
-    /// Appends already-serialized JSONL records, bypassing sampling
-    /// (the producing sink sampled them already).
+    /// Appends already-serialized JSONL records.
     ///
     /// This is the merge path of the parallel sweep layer: each job
     /// records into a private memory sink, and at join time the parent
@@ -368,11 +237,6 @@ impl EventSink {
     /// Events recorded so far.
     pub fn recorded(&self) -> u64 {
         self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Sampled-kind events dropped by sampling so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Flushes a file-backed sink (no-op for memory sinks).
@@ -410,7 +274,7 @@ mod tests {
 
     #[test]
     fn memory_sink_records_jsonl() {
-        let sink = EventSink::memory(SampleConfig::default());
+        let sink = EventSink::memory();
         sink.record(&window_event(), Some("fig14.gcc".into()), None);
         let lines = sink.take_lines();
         assert_eq!(lines.len(), 1);
@@ -431,80 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn high_rate_kinds_are_sampled() {
-        let sink = EventSink::memory(SampleConfig { rate: 10 });
-        for set in 0..100 {
-            sink.record(
-                &Event::SkipDecision {
-                    bank: 0,
-                    set,
-                    trusted: true,
-                    rows_refreshed: 0,
-                    rows_skipped: 8,
-                },
-                None,
-                None,
-            );
-        }
-        assert_eq!(sink.take_lines().len(), 10);
-        assert_eq!(sink.dropped(), 90);
-        // Low-rate kinds always pass.
-        sink.record(&window_event(), None, None);
-        assert_eq!(sink.take_lines().len(), 1);
-    }
-
-    #[test]
-    fn each_sampled_kind_keeps_its_own_count() {
-        // The skip decisions a rate-4 sink keeps are the same with and
-        // without transform events interleaved between them.
-        let skip = |set| Event::SkipDecision {
-            bank: 1,
-            set,
-            trusted: set % 3 == 0,
-            rows_refreshed: set % 5,
-            rows_skipped: 8,
-        };
-        let stage = |row| Event::TransformStage {
-            op: "encode",
-            row,
-            ebdi: true,
-            bit_plane: true,
-            inverted: row % 2 == 1,
-            rotation: true,
-        };
-        let kept_skips = |sink: &EventSink| -> Vec<String> {
-            let lines = sink.take_lines();
-            let skips = lines
-                .iter()
-                .filter(|l| l.contains("\"type\":\"skip_decision\""));
-            // Drop `seq` and `t_us`: only the event members are compared.
-            skips
-                .map(|l| l[l.find("\"type\"").unwrap()..].to_string())
-                .collect()
-        };
-        let alone = EventSink::memory(SampleConfig { rate: 4 });
-        for set in 0..40 {
-            alone.record(&skip(set), None, None);
-        }
-        let mixed = EventSink::memory(SampleConfig { rate: 4 });
-        for set in 0..40 {
-            for row in 0..set % 7 {
-                mixed.record(&stage(row), None, None);
-            }
-            mixed.record(&skip(set), None, None);
-        }
-        let want = kept_skips(&alone);
-        assert_eq!(want.len(), 10);
-        assert!(want[1].contains("\"set\":4,"), "{}", want[1]);
-        assert_eq!(kept_skips(&mixed), want);
-    }
-
-    #[test]
     fn file_sink_writes_lines() {
         let dir = std::env::temp_dir().join(format!("zr-telemetry-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("events.jsonl");
-        let sink = EventSink::file(&path, SampleConfig::default()).unwrap();
+        let sink = EventSink::file(&path).unwrap();
         sink.record(&window_event(), None, Some("refresh.window".into()));
         sink.flush();
         let content = std::fs::read_to_string(&path).unwrap();
@@ -515,11 +310,9 @@ mod tests {
 
     #[test]
     fn append_lines_preserves_order_and_counts() {
-        let sink = EventSink::memory(SampleConfig { rate: 2 });
-        assert_eq!(sink.sample_config().rate, 2);
+        let sink = EventSink::memory();
         sink.record(&window_event(), None, None);
-        // Raw lines append after existing records, in the given order,
-        // without being re-sampled.
+        // Raw lines append after existing records, in the given order.
         sink.append_lines(vec!["{\"job\":0}".into(), "{\"job\":1}".into()]);
         sink.append_lines(Vec::new()); // no-op
         assert_eq!(sink.recorded(), 3);

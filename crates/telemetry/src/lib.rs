@@ -10,8 +10,8 @@
 //! * span-style phase timers ([`Telemetry::span`]) that record
 //!   wall-time histograms under `span.<name>` and nest;
 //! * a structured [`EventSink`] emitting JSON Lines (refresh-window
-//!   summaries, sampled skip decisions, transform-stage outcomes,
-//!   row-buffer transitions) to a file or in-memory buffer.
+//!   summaries, experiment summaries, sweep progress, report writes) to
+//!   a file or in-memory buffer.
 //!
 //! Everything is off by default. Setting `ZR_TELEMETRY=<dir>` before
 //! the process starts activates the global instance and appends events
@@ -45,7 +45,7 @@ mod event;
 mod registry;
 mod span;
 
-pub use event::{Event, EventSink, SampleConfig};
+pub use event::{Event, EventSink};
 pub use registry::{
     duration_ns_bounds, fraction_bounds, Counter, Gauge, Histogram, HistogramSnapshot,
     LocalCounter, Registry, Snapshot,
@@ -142,23 +142,15 @@ impl Telemetry {
     /// A fresh private instance mirroring this one's activation, for
     /// one pool job: inactive parents fork inactive children (counters
     /// still count and merge); active parents fork active children; a
-    /// parent with a sink forks a child with a *memory* sink at the
-    /// same sampling rate, whose lines the parent splices in at
-    /// [`Telemetry::absorb_job`] time.
+    /// parent with a sink forks a child with a *memory* sink, whose
+    /// lines the parent splices in at [`Telemetry::absorb_job`] time.
     pub fn fork_job(&self) -> Arc<Telemetry> {
         let job = Telemetry::new();
         if self.is_active() {
-            let sample = self
-                .sink
-                .read()
-                .expect("sink lock")
-                .as_ref()
-                .map(|s| s.sample_config());
-            match sample {
-                Some(sample) => {
-                    job.install_sink(EventSink::memory(sample));
-                }
-                None => job.activate(),
+            if self.sink.read().expect("sink lock").is_some() {
+                job.install_memory_sink();
+            } else {
+                job.activate();
             }
         }
         Arc::new(job)
@@ -188,8 +180,7 @@ impl Telemetry {
 
     /// Activates this instance from `ZR_TELEMETRY`: when a directory is
     /// configured, creates it, installs a file sink at
-    /// `<dir>/events.jsonl` (sampled at `ZR_TELEMETRY_SAMPLE`) and returns
-    /// the directory. Leaves the
+    /// `<dir>/events.jsonl` and returns the directory. Leaves the
     /// instance inactive (and returns `None`) when it is unset.
     pub fn init_from_env(&self) -> Option<PathBuf> {
         let dir = zr_types::knobs::TELEMETRY.path()?;
@@ -197,10 +188,7 @@ impl Telemetry {
             eprintln!("zr-telemetry: cannot create {}: {err}", dir.display());
             return None;
         }
-        let rate = zr_types::knobs::TELEMETRY_SAMPLE
-            .int()
-            .unwrap_or(SampleConfig::DEFAULT_RATE);
-        match EventSink::file(&dir.join("events.jsonl"), SampleConfig { rate }) {
+        match EventSink::file(&dir.join("events.jsonl")) {
             Ok(sink) => {
                 self.install_sink(sink);
             }
@@ -241,10 +229,9 @@ impl Telemetry {
         sink
     }
 
-    /// Installs an in-memory sink with the default sampling rate
-    /// (convenience for tests).
+    /// Installs an in-memory sink.
     pub fn install_memory_sink(&self) -> Arc<EventSink> {
-        self.install_sink(EventSink::memory(SampleConfig::default()))
+        self.install_sink(EventSink::memory())
     }
 
     /// Flushes and removes the sink and deactivates the instance.
@@ -455,10 +442,9 @@ mod tests {
         fork.emit(|| unreachable!("fork of a sinkless parent has no sink"));
 
         let sinked = Telemetry::new();
-        sinked.install_sink(EventSink::memory(SampleConfig { rate: 7 }));
+        sinked.install_memory_sink();
         let fork = sinked.fork_job();
-        let fork_sink = fork.sink.read().unwrap().clone().expect("fork sink");
-        assert_eq!(fork_sink.sample_config().rate, 7);
+        assert!(fork.sink.read().unwrap().is_some(), "fork has no sink");
     }
 
     #[test]

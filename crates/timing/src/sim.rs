@@ -6,7 +6,7 @@ use crate::bank::{AccessKind, BankTiming};
 use crate::params::DerivedTiming;
 use crate::requests::MemoryRequest;
 use crate::stats::TimingStats;
-use zr_telemetry::{Counter, Event, Telemetry};
+use zr_telemetry::{Counter, Telemetry};
 use zr_trace::{RecordKind, TraceRecord, TraceRecorder, FLAG_WRITE, SRC_TIMING};
 use zr_types::{Error, Geometry, Result, SystemConfig};
 
@@ -60,16 +60,6 @@ impl RecentActivates {
 
     fn fourth_last(&self) -> Option<f64> {
         (self.count >= 4).then(|| self.starts[(self.count % 4) as usize])
-    }
-}
-
-impl AccessKind {
-    fn outcome_name(self) -> &'static str {
-        match self {
-            AccessKind::RowHit => "hit",
-            AccessKind::RowClosed => "closed",
-            AccessKind::RowConflict => "conflict",
-        }
     }
 }
 
@@ -243,11 +233,6 @@ impl MemoryTimingSim {
                 AccessKind::RowClosed => stats.row_closed += 1,
                 AccessKind::RowConflict => stats.row_conflicts += 1,
             }
-            self.telemetry.emit(|| Event::RowBuffer {
-                bank: bank_idx,
-                row: loc.row.0,
-                outcome: kind.outcome_name(),
-            });
             if self.trace.is_active() {
                 self.trace_commands(req, bank_idx, loc.row.0, kind, finish);
             }

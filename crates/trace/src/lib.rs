@@ -2,12 +2,13 @@
 //! deterministic replay and offline trace analysis.
 //!
 //! The telemetry layer (`zr-telemetry`) answers *how much* — counters,
-//! histograms, sampled events. This crate answers *what happened, in
-//! exactly what order*: every ACT/RD/WR/PRE, every per-AR-set refresh
-//! decision with the access-bit and status-table inputs that produced
-//! it, every observed write, charge-state transition and
-//! transform-stage selection, captured as fixed-size 32-byte records
-//! ([`TraceRecord`]) in a length-prefix-framed binary stream.
+//! histograms, per-window summary events. This crate answers *what
+//! happened, in exactly what order*: every ACT/RD/WR/PRE, every
+//! per-AR-set refresh decision with the access-bit and status-table
+//! inputs that produced it, every observed write, charge-state
+//! transition and transform-stage selection, captured as fixed-size
+//! 32-byte records ([`TraceRecord`]) in a length-prefix-framed binary
+//! stream.
 //!
 //! # Activation
 //!

@@ -118,7 +118,7 @@ impl Inner {
     }
 }
 
-/// The cycle-level flight recorder. See the [module docs](self).
+/// The cycle-level flight recorder. See the [crate docs](crate).
 #[derive(Debug)]
 pub struct TraceRecorder {
     active: AtomicBool,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use crate::{bitplane, ebdi, rotation};
-use zr_telemetry::{Event, LocalCounter, Telemetry};
+use zr_telemetry::{LocalCounter, Telemetry};
 use zr_trace::{
     RecordKind, TraceRecord, TraceRecorder, FLAG_BIT_PLANE, FLAG_DECODE, FLAG_EBDI, FLAG_INVERTED,
     FLAG_ROTATION, SRC_TRANSFORM,
@@ -235,14 +235,6 @@ impl ValueTransformer {
             rec.a = row.0;
             self.trace.record(rec);
         }
-        self.telemetry.emit(|| Event::TransformStage {
-            op: "encode",
-            row: row.0,
-            ebdi: self.stages.ebdi,
-            bit_plane: self.stages.bit_plane,
-            inverted,
-            rotation: self.stages.rotation,
-        });
         drop(span);
         Ok(())
     }

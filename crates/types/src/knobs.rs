@@ -113,7 +113,6 @@ table! {
     SEED Result Whole "24301 (0x5EED)" "seed of the synthetic content and traffic";
     THREADS Schedule Positive "available parallelism" "sweep-pool width; 1 runs the serial path";
     TELEMETRY Observability Path "unset" "directory for snapshots, events.jsonl and figure JSON";
-    TELEMETRY_SAMPLE Observability Positive "64" "keep one in N events of each high-rate kind";
     TRACE Observability Path "unset" "trace directory (it gets trace.zrt) or .zrt file";
     TRACE_RING Observability Positive "unset (whole trace)" "keep only the newest N trace frames";
     XRAY Observability SwitchOrPath "0" "charge-domain capture, exported as xray.json and xray.csv";

@@ -51,11 +51,6 @@ impl Picojoules {
 impl Milliwatts {
     /// Zero power.
     pub const ZERO: Milliwatts = Milliwatts(0.0);
-
-    /// Builds a power value from watts.
-    pub fn from_watts(w: f64) -> Self {
-        Milliwatts(w * 1e3)
-    }
 }
 
 impl Nanoseconds {
@@ -243,7 +238,6 @@ mod tests {
     fn conversions_round_trip() {
         assert!((Picojoules(5e9).to_millijoules() - 5.0).abs() < 1e-12);
         assert!((Nanoseconds::from_millis(32.0).to_seconds() - 0.032).abs() < 1e-15);
-        assert!((Milliwatts::from_watts(0.337).0 - 337.0).abs() < 1e-9);
         assert!((Nanoseconds::from_micros(7.8).0 - 7800.0).abs() < 1e-9);
     }
 

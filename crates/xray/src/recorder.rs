@@ -11,7 +11,7 @@
 //! submission order — which is what makes `xray.json` byte-identical at
 //! any `ZR_THREADS`.
 //!
-//! Memory is bounded: each engine keeps at most [`Inner::window_cap`]
+//! Memory is bounded: each engine keeps at most `window_cap`
 //! distinct window buckets (default [`DEFAULT_WINDOW_CAP`], override
 //! with `ZR_XRAY_WINDOWS`). When a run outgrows the cap the engine's
 //! window stride doubles and existing buckets merge pairwise — counts

@@ -225,6 +225,10 @@ impl XraySnapshot {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("missing numeric field `{key}`"))
         };
+        let field_u32 = |obj: &Json, key: &str| -> Result<u32, String> {
+            let value = field(obj, key)?;
+            u32::try_from(value).map_err(|_| format!("field `{key}` = {value} exceeds u32"))
+        };
         let schema = field(doc, "schema")?;
         if schema != SCHEMA_VERSION {
             return Err(format!(
@@ -251,7 +255,7 @@ impl XraySnapshot {
                     .and_then(Json::as_str)
                     .ok_or("missing engine `policy`")?
                     .to_string(),
-                num_banks: field(e, "num_banks")? as u32,
+                num_banks: field_u32(e, "num_banks")?,
                 ar_sets_per_bank: field(e, "ar_sets_per_bank")?,
                 window_stride: field(e, "window_stride")?,
                 ..EngineCapture::default()
@@ -263,7 +267,7 @@ impl XraySnapshot {
             {
                 engine.windows.push(ArRow {
                     window: field(r, "window")?,
-                    bank: field(r, "bank")? as u32,
+                    bank: field_u32(r, "bank")?,
                     set: field(r, "set")?,
                     rows_refreshed: field(r, "rows_refreshed")?,
                     rows_skipped: field(r, "rows_skipped")?,
@@ -277,7 +281,7 @@ impl XraySnapshot {
             {
                 engine.bank_discharged.push(BankStateRow {
                     window: field(r, "window")?,
-                    bank: field(r, "bank")? as u32,
+                    bank: field_u32(r, "bank")?,
                     discharged_rows: field(r, "discharged_rows")?,
                 });
             }
@@ -288,8 +292,12 @@ impl XraySnapshot {
             .and_then(Json::as_arr)
             .ok_or("missing `stages` array")?
         {
+            let combo = field(s, "combo")?;
             let mut capture = StageCapture {
-                combo: field(s, "combo")? as u8,
+                combo: u8::try_from(combo)
+                    .ok()
+                    .filter(|&c| usize::from(c) < COMBO_COUNT)
+                    .ok_or_else(|| format!("field `combo` = {combo} is not below {COMBO_COUNT}"))?,
                 lines: field(s, "lines")?,
                 charged_before: field(s, "charged_before")?,
                 charged_after: field(s, "charged_after")?,
@@ -393,29 +401,107 @@ mod tests {
             .contains("schema 99"));
     }
 
-    #[test]
-    fn csv_escapes_label_separators() {
-        let snap = XraySnapshot {
+    /// One engine with one row of each kind, and one stage row.
+    fn one_of_each() -> XraySnapshot {
+        XraySnapshot {
             window_cap: 4,
             engines: vec![EngineCapture {
-                label: "weird,label".into(),
+                label: "fig14.gcc".into(),
                 policy: "charge_aware".into(),
-                num_banks: 1,
-                ar_sets_per_bank: 1,
+                num_banks: 8,
+                ar_sets_per_bank: 2,
                 window_stride: 1,
                 windows: vec![ArRow {
                     window: 0,
-                    bank: 0,
-                    set: 0,
+                    bank: 7,
+                    set: 1,
                     rows_refreshed: 3,
                     rows_skipped: 1,
                     discharged: 1,
                 }],
-                bank_discharged: vec![],
+                bank_discharged: vec![BankStateRow {
+                    window: 0,
+                    bank: 7,
+                    discharged_rows: 1,
+                }],
             }],
-            stages: vec![],
-        };
+            stages: vec![StageCapture {
+                combo: 15,
+                lines: 2,
+                charged_before: 100,
+                charged_after: 60,
+                deltas: [30, 0, 10, 0],
+            }],
+        }
+    }
+
+    /// The member `key` of an object, or the item at index `key` of an
+    /// array.
+    fn at<'a>(doc: &'a mut Json, key: &str) -> &'a mut Json {
+        match doc {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            Json::Arr(items) => &mut items[key.parse::<usize>().expect(key)],
+            _ => panic!("no `{key}` in a scalar"),
+        }
+    }
+
+    /// `one_of_each`'s document with the value at `path` replaced by
+    /// `value` must fail to load with an error containing `message`.
+    fn assert_rejected(path: &[&str], value: u64, message: &str) {
+        let mut doc = one_of_each().to_json();
+        assert_eq!(XraySnapshot::from_json(&doc), Ok(one_of_each()));
+        *path.iter().fold(&mut doc, |doc, key| at(doc, key)) = Json::Int(value.into());
+        let err = XraySnapshot::from_json(&doc).expect_err(message);
+        assert!(err.contains(message), "{err}");
+    }
+
+    #[test]
+    fn rejects_num_banks_beyond_u32() {
+        assert_rejected(
+            &["engines", "0", "num_banks"],
+            1 << 32,
+            "field `num_banks` = 4294967296 exceeds u32",
+        );
+    }
+
+    #[test]
+    fn rejects_window_row_bank_beyond_u32() {
+        assert_rejected(
+            &["engines", "0", "windows", "0", "bank"],
+            (1 << 32) + 7,
+            "field `bank` = 4294967303 exceeds u32",
+        );
+    }
+
+    #[test]
+    fn rejects_bank_state_bank_beyond_u32() {
+        assert_rejected(
+            &["engines", "0", "bank_discharged", "0", "bank"],
+            1 << 33,
+            "field `bank` = 8589934592 exceeds u32",
+        );
+    }
+
+    #[test]
+    fn rejects_combo_outside_the_stage_combinations() {
+        // 256 used to load as 0 ("identity") and 17 as 1 ("ebdi").
+        for combo in [16, 17, 256] {
+            assert_rejected(
+                &["stages", "0", "combo"],
+                combo,
+                &format!("field `combo` = {combo} is not below 16"),
+            );
+        }
+    }
+
+    #[test]
+    fn csv_escapes_label_separators() {
+        let mut snap = one_of_each();
+        snap.engines[0].label = "weird,label".into();
         let csv = snap.to_csv();
-        assert!(csv.contains("0,weird_label,charge_aware,0,0,0,3,1,1\n"));
+        assert!(
+            csv.contains("0,weird_label,charge_aware,0,7,1,3,1,1\n"),
+            "{csv}"
+        );
     }
 }
