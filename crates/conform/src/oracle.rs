@@ -16,6 +16,11 @@
 //!   closed-form set-range arithmetic the production `note_write` uses;
 //! - skip decisions re-walk the maps per command.
 //!
+//! It is the one reference for §IV: the differential runner compares the
+//! production rank's charge state, the engine's decisions and all three of
+//! its tracking tables (bits and traffic counters) with this model after
+//! every command.
+//!
 //! An optional `stagger_skew` mirrors the production engine's
 //! fault-injection knob so tests can put the off-by-one on either side of
 //! the differential and watch the harness catch it.
@@ -67,7 +72,8 @@ pub struct OracleWindow {
 }
 
 impl OracleWindow {
-    fn add(&mut self, out: &OracleOutcome) {
+    /// Adds one AR command's outcome.
+    pub(crate) fn add(&mut self, out: &OracleOutcome) {
         self.rows_refreshed += out.rows_refreshed;
         self.rows_skipped += out.rows_skipped;
         self.ar_commands += 1;
@@ -84,6 +90,7 @@ pub struct RefOracle {
     rows_per_bank: u64,
     ar_rows: u64,
     ar_sets: u64,
+    lines_per_row: u64,
     line_bytes_per_chip: usize,
     cell_block_rows: u64,
     anti_cells_first: bool,
@@ -93,20 +100,27 @@ pub struct RefOracle {
     pub stagger_skew: u64,
     /// Charged slots per (chip, bank, row); a missing or empty entry
     /// means the chip-row is fully discharged.
-    charged: BTreeMap<(u64, u64, u64), BTreeSet<u64>>,
+    pub(crate) charged: BTreeMap<(u64, u64, u64), BTreeSet<u64>>,
     /// Coarse access bits per (bank, AR set); all start *set* so the
     /// first window of every set scans (§IV-B).
-    access: Vec<Vec<bool>>,
+    pub(crate) access: Vec<Vec<bool>>,
+    /// Access bits that went from clear to set (the SRAM write events).
+    pub(crate) access_set_events: u64,
     /// The in-DRAM discharged-status table: (chip, bank, row) → known
     /// discharged. Missing entries mean "charged" — the conservative
     /// power-up state.
-    status: BTreeMap<(u64, u64, u64), bool>,
+    pub(crate) status: BTreeMap<(u64, u64, u64), bool>,
     /// The naive ablation's rank-row mirror: (bank, row) → discharged.
     /// Missing entries mean "discharged" (the tracker is accurate from
     /// power-up where everything is cleansed).
-    naive: BTreeMap<(u64, u64), bool>,
+    pub(crate) naive: BTreeMap<(u64, u64), bool>,
+    /// Writes recorded into the naive mirror.
+    pub(crate) naive_updates: u64,
     /// Rows remapped to spares; never skipped, never recorded discharged.
     spared: BTreeSet<(u64, u64)>,
+    /// Every AR command so far, summed; its table reads and writes are the
+    /// status table's traffic.
+    pub(crate) totals: OracleWindow,
 }
 
 impl RefOracle {
@@ -143,6 +157,7 @@ impl RefOracle {
             rows_per_bank,
             ar_rows,
             ar_sets,
+            lines_per_row: row_bytes / config.line.line_bytes as u64,
             line_bytes_per_chip: config.line.line_bytes / config.dram.num_chips,
             cell_block_rows: config.dram.cell_block_rows,
             anti_cells_first: config.dram.anti_cells_first,
@@ -150,9 +165,12 @@ impl RefOracle {
             stagger_skew: 0,
             charged: BTreeMap::new(),
             access: vec![vec![true; ar_sets as usize]; banks as usize],
+            access_set_events: 0,
             status: BTreeMap::new(),
             naive: BTreeMap::new(),
+            naive_updates: 0,
             spared: BTreeSet::new(),
+            totals: OracleWindow::default(),
         }
     }
 
@@ -203,11 +221,29 @@ impl RefOracle {
         self.spared.insert((bank, row));
     }
 
-    /// Whether the chip-row holds no charged content.
-    fn chip_row_discharged(&self, chip: u64, bank: u64, row: u64) -> bool {
+    /// Whether the chip-row holds no charged content (the wired-OR check
+    /// of §IV-B).
+    pub fn chip_row_discharged(&self, chip: u64, bank: u64, row: u64) -> bool {
         self.charged
             .get(&(chip, bank, row))
             .is_none_or(|slots| slots.is_empty())
+    }
+
+    /// Discharged chip-rows of `bank`, over all chips.
+    pub fn discharged_chip_rows_in_bank(&self, bank: u64) -> u64 {
+        let charged = self
+            .charged
+            .iter()
+            .filter(|(&(_, b, _), slots)| b == bank && !slots.is_empty())
+            .count() as u64;
+        self.chips * self.rows_per_bank - charged
+    }
+
+    /// Discharged chip-rows of the whole rank.
+    pub fn discharged_chip_rows(&self) -> u64 {
+        (0..self.banks)
+            .map(|bank| self.discharged_chip_rows_in_bank(bank))
+            .sum()
     }
 
     /// Applies the content of one chip-major encoded line write: slot
@@ -227,6 +263,13 @@ impl RefOracle {
                 slots.insert(slot);
             }
         }
+    }
+
+    /// Charges every slot of one chip-row, whatever its cell type (the
+    /// failure-injection hook of a disturbed row).
+    pub fn force_charge(&mut self, chip: u64, bank: u64, row: u64) {
+        self.charged
+            .insert((chip, bank, row), (0..self.lines_per_row).collect());
     }
 
     /// Applies an OS cleanse of a rank-row: every chip's copy returns to
@@ -256,7 +299,9 @@ impl RefOracle {
                 for n in group_base..group_base + k {
                     for chip in 0..k {
                         if self.staggered(n, chip) == row {
-                            self.access[bank as usize][(n / self.ar_rows) as usize] = true;
+                            let bit = &mut self.access[bank as usize][(n / self.ar_rows) as usize];
+                            self.access_set_events += u64::from(!*bit);
+                            *bit = true;
                         }
                     }
                 }
@@ -265,6 +310,7 @@ impl RefOracle {
             OraclePolicy::NaiveSram => {
                 let discharged = (0..self.chips).all(|c| self.chip_row_discharged(c, bank, row));
                 self.naive.insert((bank, row), discharged);
+                self.naive_updates += 1;
             }
         }
     }
@@ -322,7 +368,40 @@ impl RefOracle {
                 }
             }
         }
+        self.totals.add(&out);
         out
+    }
+
+    /// Counts the stale skip promises: chip-rows the status table marks
+    /// discharged in an AR set whose access bit is clear (so its next
+    /// command trusts the entry and skips), that are not spared and hold
+    /// charge. Under the write contract there are none; a write the engine
+    /// is not told about leaves some. A set whose access bit is set costs
+    /// one lookup, so sets no command has scanned are nearly free.
+    pub fn audit_hazards(&self) -> u64 {
+        if self.policy != OraclePolicy::ChargeAware {
+            return 0;
+        }
+        let mut hazards = 0;
+        for set in 0..self.ar_sets {
+            for bank in 0..self.banks {
+                if self.access[bank as usize][set as usize] {
+                    continue; // the next command rescans this set
+                }
+                for n in set * self.ar_rows..(set + 1) * self.ar_rows {
+                    for chip in 0..self.chips {
+                        let row = self.staggered(n, chip);
+                        if self.status.get(&(chip, bank, row)) == Some(&true)
+                            && !self.spared.contains(&(bank, row))
+                            && !self.chip_row_discharged(chip, bank, row)
+                        {
+                            hazards += 1;
+                        }
+                    }
+                }
+            }
+        }
+        hazards
     }
 
     /// One full reference retention window: one per-bank command for

@@ -29,12 +29,11 @@
 //! is a `u64::count_ones` loop — no byte-pattern scans on the sweep hot
 //! path. Spared rows are a per-bank bitmap in the same word layout.
 //!
-//! The original per-cell byte-scan path is retained behind
-//! `#[cfg(any(test, feature = "scalar-oracle"))]` as the differential
-//! reference oracle (`DramRank::set_force_scalar`); debug builds with
-//! the oracle compiled in assert the two paths agree on every query. A
-//! seeded battery in the tests checks every packed bit against it after
-//! each write, cleanse and forced charge, for segments of 1 to 128 bytes.
+//! The reference these bits are checked against is `zr_conform::RefOracle`,
+//! which keeps each chip-row's charged slots in an explicit set: its
+//! battery compares every chip-row's discharge and the rank and per-bank
+//! counts after each write, cleanse and forced charge, for segments of 1
+//! to 128 bytes, and so does every differential command sequence.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -101,19 +100,6 @@ impl RowStore {
             written: 0,
         }
     }
-
-    /// Chip `chip`'s segments of the image, one per slot.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    fn chip_segments<'a>(
-        &'a self,
-        geom: &Geometry,
-        chip: usize,
-    ) -> impl Iterator<Item = &'a [u8]> + 'a {
-        let seg = geom.line_bytes_per_chip();
-        self.bytes
-            .chunks_exact(geom.line_bytes())
-            .map(move |line| &line[chip * seg..(chip + 1) * seg])
-    }
 }
 
 /// Whether `segment` holds a charged byte, one that differs from the
@@ -167,10 +153,6 @@ pub struct DramRank {
     /// The image of a never-written row of each cell type (true, anti):
     /// the discharged pattern.
     blank: [Arc<[u8]>; 2],
-    /// Differential-oracle toggle: route all discharge queries through
-    /// the retained byte-scan path.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    force_scalar: bool,
 }
 
 impl DramRank {
@@ -198,8 +180,6 @@ impl DramRank {
             banks,
             words_per_chip,
             blank,
-            #[cfg(any(test, feature = "scalar-oracle"))]
-            force_scalar: false,
         })
     }
 
@@ -243,22 +223,9 @@ impl DramRank {
     pub(crate) fn bank_bits(&self, bank: BankId) -> BankBits<'_> {
         let store = &self.banks[bank.0];
         BankBits {
-            #[cfg(any(test, feature = "scalar-oracle"))]
-            rank: self,
-            #[cfg(any(test, feature = "scalar-oracle"))]
-            bank,
             charged: &store.charged,
             spared: &store.spared,
         }
-    }
-
-    /// Forces every discharge query through the retained per-cell byte
-    /// scans instead of the packed bitmap — the differential reference
-    /// oracle the conformance battery compares against. Results must be
-    /// bit-identical either way; only the access pattern differs.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    pub fn set_force_scalar(&mut self, force: bool) {
-        self.force_scalar = force;
     }
 
     /// Word index and bit mask of (chip, row) in a bank's packed bitmap.
@@ -386,55 +353,8 @@ impl DramRank {
     pub fn chip_row_is_discharged(&self, chip: ChipId, bank: BankId, row: RowIndex) -> bool {
         assert!(chip.0 < self.geom.num_chips(), "chip out of range");
         assert!(row.0 < self.geom.rows_per_bank(), "row out of range");
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if self.force_scalar {
-            return self.scalar_chip_row_is_discharged(chip, bank, row);
-        }
         let (word, mask) = self.charged_locus(chip.0, row.0);
-        let packed = self.banks[bank.0].charged[word] & mask == 0;
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        debug_assert_eq!(
-            packed,
-            self.scalar_chip_row_is_discharged(chip, bank, row),
-            "packed bitmap diverges from byte scan at chip {} bank {} row {}",
-            chip.0,
-            bank.0,
-            row.0
-        );
-        packed
-    }
-
-    /// The retained per-cell reference path: scan the stored bytes
-    /// against the discharged pattern (absent rows are discharged by
-    /// construction).
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    fn scalar_chip_row_is_discharged(&self, chip: ChipId, bank: BankId, row: RowIndex) -> bool {
-        let pattern = self.cell_type(row).discharged_byte();
-        match self.banks[bank.0].rows.get(&row.0) {
-            Some(store) => store
-                .chip_segments(&self.geom, chip.0)
-                .all(|segment| segment.iter().all(|&b| b == pattern)),
-            None => true,
-        }
-    }
-
-    /// [`BankBits::charged`] through the byte scans, one row per set bit
-    /// of `mask`.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    fn scalar_charged_bits(&self, chip: ChipId, bank: BankId, word: usize, mask: u64) -> u64 {
-        let mut bits = 0;
-        let mut rest = mask;
-        while rest != 0 {
-            let bit = rest & rest.wrapping_neg();
-            let row = RowIndex(word as u64 * 64 + u64::from(bit.trailing_zeros()));
-            if row.0 < self.geom.rows_per_bank()
-                && !self.scalar_chip_row_is_discharged(chip, bank, row)
-            {
-                bits |= bit;
-            }
-            rest &= rest - 1;
-        }
-        bits
+        self.banks[bank.0].charged[word] & mask == 0
     }
 
     /// Restores a whole rank-row to the cleansed (all-logical-zero,
@@ -513,40 +433,13 @@ impl DramRank {
     /// per-bank end-of-window state the xray capture records. A popcount
     /// loop over the packed bitmap.
     pub fn count_discharged_chip_rows_in_bank(&self, bank: BankId) -> u64 {
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if self.force_scalar {
-            return self.scalar_count_discharged_chip_rows_in_bank(bank);
-        }
         let total = self.geom.rows_per_bank() * self.geom.num_chips() as u64;
         let charged: u64 = self.banks[bank.0]
             .charged
             .iter()
             .map(|w| u64::from(w.count_ones()))
             .sum();
-        let packed = total - charged;
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        debug_assert_eq!(
-            packed,
-            self.scalar_count_discharged_chip_rows_in_bank(bank),
-            "packed popcount diverges from byte scan in bank {}",
-            bank.0
-        );
-        packed
-    }
-
-    /// The retained per-cell reference count: absent chip-rows are
-    /// discharged; resident ones are byte-scanned.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    fn scalar_count_discharged_chip_rows_in_bank(&self, bank: BankId) -> u64 {
-        let mut discharged = self.geom.rows_per_bank() * self.geom.num_chips() as u64;
-        for &row in self.banks[bank.0].rows.keys() {
-            for c in 0..self.geom.num_chips() {
-                if !self.scalar_chip_row_is_discharged(ChipId(c), bank, RowIndex(row)) {
-                    discharged -= 1;
-                }
-            }
-        }
-        discharged
+        total - charged
     }
 
     fn check_location(&self, bank: BankId, row: RowIndex, slot: usize) -> Result<()> {
@@ -568,11 +461,6 @@ impl DramRank {
 /// of the bank, row `r` at bit `r % 64`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BankBits<'a> {
-    /// The rank and bank, for the scalar oracle's byte scans.
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    rank: &'a DramRank,
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    bank: BankId,
     /// The bank's `charged` words, chip-major.
     charged: &'a [u64],
     spared: &'a [u64],
@@ -592,9 +480,7 @@ impl BankBits<'_> {
     /// The wired-OR check of §IV-B for up to 64 rows of one chip at once:
     /// the charged bits of `chip`'s row word `word`, restricted to `mask`
     /// (bit set = row holds charge). This is the word the refresh engine
-    /// latches per command. Only rows in `mask` are queried, so under the
-    /// scalar oracle the byte scans cover exactly the rows a per-row walk
-    /// would probe.
+    /// latches per command.
     ///
     /// # Panics
     ///
@@ -603,21 +489,7 @@ impl BankBits<'_> {
     pub(crate) fn charged(&self, chip: ChipId, word: usize, mask: u64) -> u64 {
         let words_per_chip = self.spared.len();
         assert!(word < words_per_chip, "row word out of range");
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if self.rank.force_scalar {
-            return self.rank.scalar_charged_bits(chip, self.bank, word, mask);
-        }
-        let packed = self.charged[chip.0 * words_per_chip + word] & mask;
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        debug_assert_eq!(
-            packed,
-            self.rank.scalar_charged_bits(chip, self.bank, word, mask),
-            "packed bitmap diverges from byte scan at chip {} bank {} word {}",
-            chip.0,
-            self.bank.0,
-            word
-        );
-        packed
+        self.charged[chip.0 * words_per_chip + word] & mask
     }
 }
 
@@ -816,53 +688,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn packed_and_scalar_paths_agree_under_mixed_traffic() {
-        let mut r = rank();
-        let g = r.geometry().clone();
-        // A deterministic mix of charging writes, pattern rewrites,
-        // cleanses and forced charges.
-        for i in 0..200u64 {
-            let bank = BankId((i % g.num_banks() as u64) as usize);
-            let row = RowIndex((i * 7) % g.rows_per_bank());
-            let slot = (i % g.lines_per_row() as u64) as usize;
-            match i % 5 {
-                0 | 1 => {
-                    let line = vec![(i % 251) as u8 + 1; 64];
-                    r.write_encoded_line(bank, row, slot, &line).unwrap();
-                }
-                2 => {
-                    let pattern = r.cell_type(row).discharged_byte();
-                    let line = vec![pattern; 64];
-                    r.write_encoded_line(bank, row, slot, &line).unwrap();
-                }
-                3 => r.cleanse_row(bank, row).unwrap(),
-                _ => r
-                    .force_charge_chip_row(ChipId((i % 8) as usize), bank, row)
-                    .unwrap(),
-            }
-        }
-        let packed: Vec<u64> = (0..g.num_banks())
-            .map(|b| r.count_discharged_chip_rows_in_bank(BankId(b)))
-            .collect();
-        r.set_force_scalar(true);
-        let scalar: Vec<u64> = (0..g.num_banks())
-            .map(|b| r.count_discharged_chip_rows_in_bank(BankId(b)))
-            .collect();
-        assert_eq!(packed, scalar);
-        for bank in 0..g.num_banks() {
-            for row in 0..g.rows_per_bank() {
-                for chip in 0..g.num_chips() {
-                    r.set_force_scalar(true);
-                    let s = r.chip_row_is_discharged(ChipId(chip), BankId(bank), RowIndex(row));
-                    r.set_force_scalar(false);
-                    let p = r.chip_row_is_discharged(ChipId(chip), BankId(bank), RowIndex(row));
-                    assert_eq!(p, s, "bank {bank} row {row} chip {chip}");
-                }
-            }
-        }
-    }
-
     /// A rank with `rows_per_bank` rows (power of two, may be smaller
     /// than one 64-bit bitmap word) across `num_banks` banks.
     fn tiny_rank(rows_per_bank: u64, num_banks: usize) -> DramRank {
@@ -967,131 +792,5 @@ mod tests {
             r.count_discharged_chip_rows(),
             16 * g.num_banks() as u64 * g.num_chips() as u64
         );
-    }
-
-    // --- packed charged bits against the byte scan ----------------------
-
-    /// A rank of `num_chips` chips on `line_bytes` lines (8-byte words),
-    /// 2 banks of 16 rows of 512 bytes, true and anti cells alternating
-    /// every 2 rows.
-    fn seg_rank(line_bytes: usize, num_chips: usize) -> DramRank {
-        let mut cfg = SystemConfig::small_test();
-        cfg.line.line_bytes = line_bytes;
-        cfg.dram.num_chips = num_chips;
-        cfg.dram.row_bytes = 512;
-        cfg.dram.capacity_bytes = 2 * 16 * 512;
-        cfg.dram.cell_block_rows = 2;
-        DramRank::new(&cfg).unwrap()
-    }
-
-    /// Every packed charged bit of `r` is what a byte scan of its
-    /// chip-row says, no padding bit is set, and exactly the rows in
-    /// `spared` are spared.
-    fn assert_bits_match_the_bytes(r: &DramRank, spared: &[(usize, u64)], what: &str) {
-        let g = r.geometry();
-        for (b, store) in r.banks.iter().enumerate() {
-            let mut charged_rows = 0;
-            for row in 0..g.rows_per_bank() {
-                for chip in 0..g.num_chips() {
-                    let (word, mask) = r.charged_locus(chip, row);
-                    let packed = store.charged[word] & mask != 0;
-                    let scan =
-                        !r.scalar_chip_row_is_discharged(ChipId(chip), BankId(b), RowIndex(row));
-                    assert_eq!(packed, scan, "bank {b} row {row} chip {chip}, {what}");
-                    charged_rows += u32::from(scan);
-                }
-                assert_eq!(
-                    r.is_spared(BankId(b), RowIndex(row)),
-                    spared.contains(&(b, row)),
-                    "bank {b} row {row} spared, {what}"
-                );
-            }
-            let set: u32 = store.charged.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(set, charged_rows, "bank {b} padding bits, {what}");
-        }
-    }
-
-    #[test]
-    fn packed_bits_match_the_byte_scan_after_every_operation() {
-        // (line bytes, chips): segments of 32, 16, 8, 4, 2 and 1 bytes
-        // on 64-byte lines, then 128, 64 and 128 bytes on wider lines.
-        let shapes = [
-            (64, 2),
-            (64, 4),
-            (64, 8),
-            (64, 16),
-            (64, 32),
-            (64, 64),
-            (128, 1),
-            (256, 4),
-            (256, 2),
-        ];
-        let spared = [(0, 1), (1, 2), (1, 7)];
-        let mut rng = zr_types::rng::SplitMix64::new(0x0C0D_EC0D_E5E6);
-        for (line_bytes, chips) in shapes {
-            let mut r = seg_rank(line_bytes, chips);
-            let g = r.geometry().clone();
-            assert_eq!(g.line_bytes_per_chip(), line_bytes / chips);
-            for (bank, row) in spared {
-                r.add_spared_row(BankId(bank), RowIndex(row));
-            }
-            let (mut charges, mut discharges) = (0u32, 0u32);
-            let mut line = vec![0u8; line_bytes];
-            for step in 0..1500 {
-                let bank = BankId(rng.below(2) as usize);
-                // Few rows and slots, so chip-rows often return to
-                // discharged.
-                let row = RowIndex(rng.below(8));
-                let slot = [0, g.lines_per_row() - 1][rng.below(2) as usize];
-                let pattern = r.cell_type(row).discharged_byte();
-                let what = format!("{line_bytes} B lines, {chips} chips, step {step}");
-                match rng.below(16) {
-                    0 => {
-                        r.cleanse_row(bank, row).unwrap();
-                        assert_bits_match_the_bytes(&r, &spared, &what);
-                        continue;
-                    }
-                    1 => {
-                        let chip = ChipId(rng.below(chips as u64) as usize);
-                        r.force_charge_chip_row(chip, bank, row).unwrap();
-                        assert_bits_match_the_bytes(&r, &spared, &what);
-                        continue;
-                    }
-                    2..=5 => line.fill(pattern),
-                    6 => line.fill(!pattern),
-                    7 => rng.fill_bytes(&mut line),
-                    _ => {
-                        // Each segment either discharged or holding a
-                        // few charged bytes anywhere in it.
-                        line.fill(pattern);
-                        for segment in line.chunks_exact_mut(g.line_bytes_per_chip()) {
-                            if rng.below(2) == 0 {
-                                for _ in 0..=rng.below(3) {
-                                    let at = rng.below(segment.len() as u64) as usize;
-                                    segment[at] = rng.next_u64() as u8;
-                                }
-                            }
-                        }
-                    }
-                }
-                let before = r.banks[bank.0].charged.clone();
-                r.write_encoded_line(bank, row, slot, &line).unwrap();
-                for (old, new) in before.iter().zip(&r.banks[bank.0].charged) {
-                    charges += (new & !old).count_ones();
-                    discharges += (old & !new).count_ones();
-                }
-                assert_eq!(
-                    r.read_encoded_line(bank, row, slot).unwrap(),
-                    line,
-                    "{what}"
-                );
-                assert_bits_match_the_bytes(&r, &spared, &what);
-            }
-            assert!(
-                charges > 20 && discharges > 20,
-                "{line_bytes} B lines, {chips} chips: {charges} charging and \
-                 {discharges} discharging zero-crossings"
-            );
-        }
     }
 }

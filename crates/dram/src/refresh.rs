@@ -33,9 +33,11 @@
 //! and spared words. A trusted set skips `popcount(mask & status &
 //! !spared)` chip-rows; a scanned set stores `status = !charged & !spared`
 //! under the mask. All three policies and [`RefreshEngine::audit_hazards`]
-//! use the same masks. The per-row walk these replace is kept under
-//! `#[cfg(test)]` as the reference the unit tests compare against, over
-//! every policy, stagger skew and AR set size from 1 to 128 rows.
+//! use the same masks. The reference they are checked against is
+//! `zr_conform::RefOracle`, which walks every chip-row of a command
+//! through the §IV-C formula: its battery compares every decision and all
+//! three tracking tables ([`RefreshEngine::tables`]) after each command,
+//! over every policy, stagger skew and AR set size from 1 to 128 rows.
 
 use std::sync::Arc;
 
@@ -508,6 +510,20 @@ impl RefreshEngine {
         self.totals
     }
 
+    /// The three tracking tables, read-only: the access bits, the
+    /// discharged-status table and, under [`RefreshPolicy::NaiveSram`],
+    /// the naive tracker. Conformance checks compare them with a
+    /// reference model.
+    pub fn tables(
+        &self,
+    ) -> (
+        &AccessBitTable,
+        &DischargedStatusTable,
+        Option<&NaiveSramTracker>,
+    ) {
+        (&self.access, &self.status, self.naive.as_ref())
+    }
+
     /// Audits the discharged-status table against the rank's actual
     /// contents: counts chip-rows the table marks discharged (and whose
     /// AR set's access bit is clear, so the next window would trust the
@@ -855,174 +871,6 @@ impl RefreshEngine {
     }
 }
 
-/// The per-row walk the word-level engine replaced, kept as the
-/// reference its unit tests compare against: every chip-row of a command
-/// visited one at a time through the §IV-C formula with divisions, one
-/// status bit and one discharge probe each. Observability hooks are left
-/// out; decisions, table traffic and state updates are the originals.
-#[cfg(test)]
-mod per_row {
-    use super::*;
-    use std::ops::Range;
-
-    impl RefreshEngine {
-        /// The staggered schedule as the paper's formula, with divisions.
-        fn sched_row_per_row(&self, n: u64, chip: ChipId) -> RowIndex {
-            let k = self.geom.num_chips() as u64;
-            RowIndex(k * (n / k) + (chip.0 as u64 + n + self.stagger_skew) % k)
-        }
-
-        pub(super) fn note_write_per_row(&mut self, rank: &DramRank, bank: BankId, row: RowIndex) {
-            match self.policy {
-                RefreshPolicy::Conventional => {}
-                RefreshPolicy::ChargeAware => {
-                    let k = self.geom.num_chips() as u64;
-                    let first_step = (row.0 / k) * k;
-                    let ar = self.geom.ar_rows();
-                    for set in first_step / ar..=(first_step + k - 1) / ar {
-                        if !self.access.is_written(bank, set) {
-                            self.access.mark_written(bank, set);
-                        }
-                    }
-                }
-                RefreshPolicy::NaiveSram => {
-                    let discharged = (0..self.geom.num_chips())
-                        .all(|c| rank.chip_row_is_discharged(ChipId(c), bank, row));
-                    self.naive
-                        .as_mut()
-                        .expect("naive policy has tracker")
-                        .record_write(bank, row, discharged);
-                }
-            }
-        }
-
-        fn ar_for_bank_per_row(&mut self, rank: &DramRank, bank: BankId, set: u64) -> ArOutcome {
-            assert!(set < self.geom.ar_sets_per_bank(), "AR set out of range");
-            let ar = self.geom.ar_rows();
-            let chips = self.geom.num_chips();
-            let first = set * ar;
-            let mut out = ArOutcome::default();
-            match self.policy {
-                RefreshPolicy::Conventional => {
-                    out.rows_refreshed = ar * chips as u64;
-                }
-                RefreshPolicy::ChargeAware => {
-                    if self.access.is_written(bank, set) {
-                        for n in first..first + ar {
-                            for c in 0..chips {
-                                let row = self.sched_row_per_row(n, ChipId(c));
-                                out.rows_refreshed += 1;
-                                let discharged = !rank.is_spared(bank, row)
-                                    && rank.chip_row_is_discharged(ChipId(c), bank, row);
-                                self.status.set(ChipId(c), bank, row, discharged);
-                            }
-                        }
-                        for _ in 0..chips {
-                            self.status.note_write();
-                        }
-                        out.table_writes = chips as u64;
-                        self.access.clear(bank, set);
-                    } else {
-                        for _ in 0..chips {
-                            self.status.note_read();
-                        }
-                        out.table_reads = chips as u64;
-                        for n in first..first + ar {
-                            for c in 0..chips {
-                                let row = self.sched_row_per_row(n, ChipId(c));
-                                if !rank.is_spared(bank, row)
-                                    && self.status.get(ChipId(c), bank, row)
-                                {
-                                    assert!(
-                                        rank.chip_row_is_discharged(ChipId(c), bank, row),
-                                        "integrity violation: skipping charged row"
-                                    );
-                                    out.rows_skipped += 1;
-                                } else {
-                                    out.rows_refreshed += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                RefreshPolicy::NaiveSram => {
-                    let naive = self.naive.as_ref().expect("naive policy has tracker");
-                    for n in first..first + ar {
-                        for c in 0..chips {
-                            let row = self.sched_row_per_row(n, ChipId(c));
-                            if !rank.is_spared(bank, row) && naive.is_discharged(bank, row) {
-                                assert!(
-                                    rank.chip_row_is_discharged(ChipId(c), bank, row),
-                                    "integrity violation: naive tracker skipped charged row"
-                                );
-                                out.rows_skipped += 1;
-                            } else {
-                                out.rows_refreshed += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            out
-        }
-
-        pub(super) fn process_ar_per_row(
-            &mut self,
-            rank: &DramRank,
-            bank: BankId,
-            set: u64,
-        ) -> ArOutcome {
-            let out = self.ar_for_bank_per_row(rank, bank, set);
-            self.account(&out);
-            out
-        }
-
-        pub(super) fn run_window_per_row(&mut self, rank: &DramRank) -> WindowStats {
-            let before = self.totals;
-            for set in 0..self.geom.ar_sets_per_bank() {
-                for bank in 0..self.geom.num_banks() {
-                    self.process_ar_per_row(rank, BankId(bank), set);
-                }
-            }
-            let mut window = self.totals;
-            window.rows_refreshed -= before.rows_refreshed;
-            window.rows_skipped -= before.rows_skipped;
-            window.ar_commands -= before.ar_commands;
-            window.table_reads -= before.table_reads;
-            window.table_writes -= before.table_writes;
-            window
-        }
-
-        /// The hazard audit over AR sets `sets` only.
-        pub(super) fn audit_hazards_per_row(&self, rank: &DramRank, sets: Range<u64>) -> u64 {
-            if self.policy != RefreshPolicy::ChargeAware {
-                return 0;
-            }
-            let mut hazards = 0;
-            for set in sets {
-                for bank in 0..self.geom.num_banks() {
-                    let bank = BankId(bank);
-                    if self.access.is_written(bank, set) {
-                        continue;
-                    }
-                    for n in set * self.geom.ar_rows()..(set + 1) * self.geom.ar_rows() {
-                        for c in 0..self.geom.num_chips() {
-                            let row = self.sched_row_per_row(n, ChipId(c));
-                            if self.status.get(ChipId(c), bank, row)
-                                && !rank.is_spared(bank, row)
-                                && !rank.chip_row_is_discharged(ChipId(c), bank, row)
-                            {
-                                hazards += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            hazards
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1341,216 +1189,13 @@ mod tests {
         RefreshEngine::new(&cfg, RefreshPolicy::ChargeAware).unwrap();
     }
 
-    /// A seeded stream: `draw(bound)` is uniform in `0..bound`.
-    fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
-        let mut rng = zr_types::rng::SplitMix64::new(seed);
-        move |bound| rng.below(bound)
-    }
-
-    /// `banks` banks of `rows` 2 KiB rows over `chips` chips.
-    fn rank_config(chips: usize, banks: usize, rows: u64, block: u64, anti: bool) -> SystemConfig {
-        let mut cfg = SystemConfig::paper_default();
-        cfg.dram.num_chips = chips;
-        cfg.dram.num_banks = banks;
-        cfg.dram.row_bytes = 2048;
-        cfg.dram.capacity_bytes = banks as u64 * rows * 2048;
-        cfg.dram.cell_block_rows = block;
-        cfg.dram.anti_cells_first = anti;
-        cfg
-    }
-
-    /// The engines' whole decision state: totals, status table (bits and
-    /// traffic), access bits and naive tracker. Compared with `==` so a
-    /// mismatch does not print megabytes of bits.
-    fn assert_same_state(engine: &RefreshEngine, reference: &RefreshEngine, context: &str) {
-        assert_eq!(engine.totals, reference.totals, "totals: {context}");
-        assert!(engine.status == reference.status, "status table: {context}");
-        assert!(engine.access == reference.access, "access bits: {context}");
-        assert!(engine.naive == reference.naive, "naive tracker: {context}");
-    }
-
-    /// What one reference case saw, so the battery can show it reached
-    /// skips and hazards at all.
-    #[derive(Default)]
-    struct CaseReach {
-        skipped: u64,
-        hazards: u64,
-    }
-
-    /// One seeded case: writes, cleanses, spares (up front and between
-    /// commands), AR commands and (on small geometries) whole windows,
-    /// each applied to the engine and to a clone driven through the
-    /// per-row reference.
-    /// Large geometries work on a focus of a few AR sets.
-    fn reference_case(
-        chips: usize,
-        ar: u64,
-        policy: RefreshPolicy,
-        scalar: bool,
-        skew: u64,
-        draw: &mut impl FnMut(u64) -> u64,
-    ) -> CaseReach {
-        let k = chips as u64;
-        let (banks, rows) = if ar == 1 {
-            (
-                1 + draw(2) as usize,
-                [16, 64, 512, 4096][draw(4) as usize].max(k),
-            )
-        } else {
-            (if ar <= 8 { 2 } else { 1 }, 8192 * ar)
-        };
-        let block = [8, 64, 512][draw(3) as usize].min(rows);
-        let cfg = rank_config(chips, banks, rows, block, draw(2) == 1);
-        let context = format!(
-            "chips {chips} ar_rows {ar} banks {banks} rows {rows} block {block} \
-             {policy:?} scalar {scalar} skew {skew}"
-        );
-        let mut rank = DramRank::new(&cfg).unwrap();
-        assert_eq!(rank.geometry().ar_rows(), ar, "{context}");
-        rank.set_force_scalar(scalar);
-        let mut engine = RefreshEngine::new(&cfg, policy).unwrap();
-        engine.set_stagger_skew(skew);
-        let mut reference = engine.clone();
-
-        let sets = rank.geometry().ar_sets_per_bank();
-        let small = rows * k * banks as u64 <= 1 << 16;
-        let focus = if small {
-            0..sets
-        } else {
-            let span = (2 * k / ar).max(3);
-            let start = draw(sets - span + 1);
-            start..start + span
-        };
-        let focus_rows = focus.start * ar..focus.end * ar;
-        let row_in_focus = |draw: &mut dyn FnMut(u64) -> u64| {
-            RowIndex(focus_rows.start + draw(focus_rows.end - focus_rows.start))
-        };
-        let line_for = |rank: &DramRank, row: RowIndex, mask: u64, fill: u64| {
-            let pattern = rank.cell_type(row).discharged_byte();
-            let seg = 64 / chips;
-            let mut line = vec![pattern; 64];
-            for c in 0..chips {
-                if mask >> c & 1 == 1 {
-                    line[c * seg..(c + 1) * seg].fill(pattern ^ (fill as u8 | 1));
-                }
-            }
-            line
-        };
-        for _ in 0..draw(3) {
-            let row = row_in_focus(draw);
-            rank.add_spared_row(BankId(draw(banks as u64) as usize), row);
-        }
-
-        let mut reach = CaseReach::default();
-        for step in 0..24 {
-            let bank = BankId(draw(banks as u64) as usize);
-            let set = focus.start + draw(focus.end - focus.start);
-            let what = format!("step {step}: {context}");
-            match draw(11) {
-                0..=3 => {
-                    let row = row_in_focus(draw);
-                    let line = line_for(&rank, row, draw(1 << chips) & draw(1 << chips), draw(256));
-                    rank.write_encoded_line(bank, row, draw(32) as usize, &line)
-                        .unwrap();
-                    engine.note_write(&rank, bank, row);
-                    reference.note_write_per_row(&rank, bank, row);
-                }
-                4 => {
-                    let row = row_in_focus(draw);
-                    rank.cleanse_row(bank, row).unwrap();
-                    engine.note_write(&rank, bank, row);
-                    reference.note_write_per_row(&rank, bank, row);
-                }
-                5..=8 => {
-                    let out = engine.process_ar(&rank, bank, set);
-                    assert_eq!(
-                        out,
-                        reference.process_ar_per_row(&rank, bank, set),
-                        "{what}"
-                    );
-                    reach.skipped += out.rows_skipped;
-                }
-                9 => {
-                    // Sparing after a scan: the stored status may promise
-                    // a skip that sparing must override.
-                    rank.add_spared_row(bank, row_in_focus(draw));
-                }
-                _ if small => {
-                    let window = engine.run_window(&mut rank);
-                    assert_eq!(window, reference.run_window_per_row(&rank), "{what}");
-                    reach.skipped += window.rows_skipped;
-                }
-                _ => {
-                    let out = engine.process_ar(&rank, bank, set);
-                    assert_eq!(
-                        out,
-                        reference.process_ar_per_row(&rank, bank, set),
-                        "{what}"
-                    );
-                }
-            }
-            assert_same_state(&engine, &reference, &what);
-        }
-
-        // Charge rows behind the engines' back, sparing the first: the
-        // audits must count the same stale skip promises (outside the
-        // focus there are none).
-        assert_eq!(engine.audit_hazards(&rank), 0, "{context}");
-        for i in 0..4 {
-            let (bank, row) = (BankId(draw(banks as u64) as usize), row_in_focus(draw));
-            let line = line_for(&rank, row, (1 << chips) - 1, draw(256));
-            rank.write_encoded_line(bank, row, draw(32) as usize, &line)
-                .unwrap();
-            if i == 0 {
-                rank.add_spared_row(bank, row);
-            }
-        }
-        reach.hazards = engine.audit_hazards(&rank);
-        assert_eq!(
-            reach.hazards,
-            reference.audit_hazards_per_row(&rank, focus),
-            "audit: {context}"
-        );
-        reach
-    }
-
-    #[test]
-    fn word_level_engine_matches_the_per_row_reference() {
-        let mut draw = draws(0x5EED_A125_0F16_0001);
-        let (mut skipped, mut hazards, mut case) = (0, 0, 0u64);
-        for chips in [2usize, 4, 8, 16] {
-            for ar in (0..=7).map(|e| 1u64 << e) {
-                for policy in [
-                    RefreshPolicy::Conventional,
-                    RefreshPolicy::ChargeAware,
-                    RefreshPolicy::NaiveSram,
-                ] {
-                    case += 1;
-                    // The scalar oracle on in every other case, a stagger
-                    // skew (up to two groups) in two of three.
-                    let skew = if case % 3 == 0 {
-                        0
-                    } else {
-                        1 + draw(2 * chips as u64)
-                    };
-                    let reach = reference_case(chips, ar, policy, case % 2 == 0, skew, &mut draw);
-                    skipped += reach.skipped;
-                    hazards += reach.hazards;
-                }
-            }
-        }
-        assert!(
-            skipped > 0 && hazards > 0,
-            "battery never skipped ({skipped}) or found a hazard ({hazards})"
-        );
-    }
-
     #[test]
     fn multi_row_scan_window_trace_is_pinned() {
         // 1 bank of 16384 rows: ar_rows = 2, under the 8-chip stagger
-        // group. The answer was recorded from the per-row engine; it
-        // pins the ChargeTransition order (step-major, chip-minor) and
-        // every RefIssue count of a scan window.
+        // group. The answer was recorded from the per-row engine the
+        // word-level one replaced; it pins the ChargeTransition order
+        // (step-major, chip-minor) and every RefIssue count of a scan
+        // window.
         let mut cfg = SystemConfig::paper_default();
         cfg.dram.num_banks = 1;
         cfg.dram.row_bytes = 2048;
@@ -1590,10 +1235,13 @@ mod tests {
         // and each command lists its flips by refresh step, then chip.
         // One AR row under 8 chips, and 2 AR rows over 2 chips.
         let skew = 3;
-        for cfg in [
-            SystemConfig::small_test(),
-            rank_config(2, 1, 16384, 64, false),
-        ] {
+        let mut two_chips = SystemConfig::paper_default();
+        two_chips.dram.num_chips = 2;
+        two_chips.dram.num_banks = 1;
+        two_chips.dram.row_bytes = 2048;
+        two_chips.dram.capacity_bytes = 16384 * 2048;
+        two_chips.dram.cell_block_rows = 64;
+        for cfg in [SystemConfig::small_test(), two_chips] {
             let mut rank = DramRank::new(&cfg).unwrap();
             let geom = rank.geometry().clone();
             let bank = BankId(geom.num_banks() - 1);

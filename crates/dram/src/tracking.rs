@@ -201,7 +201,7 @@ impl DischargedStatusTable {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
-    pub(crate) fn bank_words(&self, bank: BankId) -> &[u64] {
+    pub fn bank_words(&self, bank: BankId) -> &[u64] {
         let len = self.num_chips * self.words_per_bank;
         &self.bits[bank.0 * len..(bank.0 + 1) * len]
     }
@@ -318,7 +318,7 @@ impl NaiveSramTracker {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
-    pub(crate) fn bank_words(&self, bank: BankId) -> &[u64] {
+    pub fn bank_words(&self, bank: BankId) -> &[u64] {
         &self.bits[bank.0 * self.words_per_bank..(bank.0 + 1) * self.words_per_bank]
     }
 

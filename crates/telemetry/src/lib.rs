@@ -234,14 +234,6 @@ impl Telemetry {
         self.install_sink(EventSink::memory())
     }
 
-    /// Flushes and removes the sink and deactivates the instance.
-    pub fn clear_sink(&self) {
-        if let Some(sink) = self.sink.write().expect("sink lock").take() {
-            sink.flush();
-        }
-        self.active.store(false, Ordering::Relaxed);
-    }
-
     /// The underlying metric registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
@@ -386,16 +378,6 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"scope\":\"fig14_refresh_reduction.gcc\""));
         assert!(lines[0].contains("\"span\":\"refresh.window\""));
-    }
-
-    #[test]
-    fn clear_sink_deactivates() {
-        let t = Telemetry::new();
-        t.install_memory_sink();
-        assert!(t.is_active());
-        t.clear_sink();
-        assert!(!t.is_active());
-        t.emit(|| unreachable!("emit must be skipped after clear_sink"));
     }
 
     #[test]

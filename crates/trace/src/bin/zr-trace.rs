@@ -95,7 +95,13 @@ fn cmd_inspect(args: &[String], out: &mut Stdout) -> CmdResult {
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--bank" => filter.bank = Some(parse_u64("--bank", it.next())? as u32),
+            "--bank" => {
+                let bank = parse_u64("--bank", it.next())?;
+                let bank = u32::try_from(bank).map_err(|_| {
+                    format!("--bank {bank} is beyond the largest bank {}", u32::MAX)
+                })?;
+                filter.bank = Some(bank);
+            }
             "--row" => filter.row = Some(parse_u64("--row", it.next())?),
             "--window" => filter.window = Some(parse_u64("--window", it.next())?),
             "--kind" => {

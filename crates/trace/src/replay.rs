@@ -16,10 +16,16 @@
 //! record index: either the trace was tampered with, or the engine's
 //! decision logic changed between record and replay time — a determinism
 //! regression.
+//!
+//! A trace is untrusted input. A meta record describing a geometry no
+//! validated config produces is itself a divergence, naming the field and
+//! its value; the shadow state is kept per touched (bank, set), so no
+//! allocation is sized by a record field, and record arithmetic is checked.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::record::{EngineMeta, RecordKind, TraceRecord, FLAG_TRUSTED, POLICY_CHARGE_AWARE};
+use zr_types::config::REFRESH_COMMANDS_PER_TRET;
 
 /// One replay mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,45 +103,69 @@ impl Default for SetState {
     }
 }
 
-/// Shadow model of one charge-aware refresh engine.
+/// The first field of `meta` that no validated geometry produces, with
+/// its value. Each must lie in `1..=max`: at most 64 chips (one stagger
+/// group spans them all), a command covering at most `u64::MAX`
+/// chip-rows, and at most the 8192 AR sets of one retention window's REF
+/// commands per bank.
+fn meta_fault(meta: &EngineMeta) -> Option<(&'static str, u64)> {
+    [
+        ("num_banks", u64::from(meta.num_banks), u64::MAX),
+        ("num_chips", meta.num_chips, 64),
+        ("ar_rows", meta.ar_rows, u64::MAX / meta.num_chips.max(1)),
+        (
+            "ar_sets_per_bank",
+            meta.ar_sets_per_bank,
+            REFRESH_COMMANDS_PER_TRET,
+        ),
+    ]
+    .into_iter()
+    .find(|&(_, value, max)| value == 0 || value > max)
+    .map(|(name, value, _)| (name, value))
+}
+
+/// Shadow model of one charge-aware refresh engine, built from a meta
+/// record [`meta_fault`] accepts.
 #[derive(Debug)]
 struct EngineModel {
     meta: EngineMeta,
-    /// State per `bank * ar_sets_per_bank + set`.
-    sets: Vec<SetState>,
+    /// State of each (bank, AR set) a record has touched; the others are
+    /// still in their power-up [`SetState::default`].
+    sets: HashMap<(u32, u64), SetState>,
 }
 
 impl EngineModel {
     fn new(meta: EngineMeta) -> Self {
-        let n = (meta.num_banks as u64 * meta.ar_sets_per_bank) as usize;
         EngineModel {
             meta,
-            sets: vec![SetState::default(); n],
+            sets: HashMap::new(),
         }
     }
 
+    /// The shadow state of (`bank`, `set`), or `None` outside the engine's
+    /// geometry.
     fn state(&mut self, bank: u32, set: u64) -> Option<&mut SetState> {
-        let idx = bank as u64 * self.meta.ar_sets_per_bank + set;
-        self.sets.get_mut(idx as usize)
+        if bank >= self.meta.num_banks || set >= self.meta.ar_sets_per_bank {
+            return None;
+        }
+        Some(self.sets.entry((bank, set)).or_default())
     }
 
     /// Mirrors `RefreshEngine::note_write`: a rank-row's chip-rows span
     /// `num_chips` consecutive staggered refresh steps, which may straddle
     /// two AR sets.
     fn apply_write(&mut self, bank: u32, row: u64) {
-        let k = self.meta.num_chips.max(1);
-        let ar = self.meta.ar_rows.max(1);
-        let first_step = (row / k) * k;
-        let first_set = first_step / ar;
-        let last_set = (first_step + k - 1) / ar;
-        for set in first_set..=last_set.min(self.meta.ar_sets_per_bank.saturating_sub(1)) {
+        let (k, ar) = (self.meta.num_chips, self.meta.ar_rows);
+        let first_step = row - row % k;
+        for set in first_step / ar..=first_step.saturating_add(k - 1) / ar {
             if let Some(s) = self.state(bank, set) {
                 s.written = true;
             }
         }
     }
 
-    /// Chip-rows covered by one per-bank AR command.
+    /// Chip-rows covered by one per-bank AR command (the product is
+    /// checked by [`meta_fault`]).
     fn rows_per_command(&self) -> u64 {
         self.meta.ar_rows * self.meta.num_chips
     }
@@ -150,9 +180,24 @@ pub fn replay(records: &[TraceRecord]) -> ReplayReport {
     let mut report = ReplayReport::default();
 
     for (index, rec) in records.iter().enumerate() {
+        if report.divergences.len() >= ReplayReport::MAX_DIVERGENCES {
+            break;
+        }
         match rec.kind {
             RecordKind::Meta => {
                 if let Some(meta) = EngineMeta::from_record(rec) {
+                    if let Some((field, value)) = meta_fault(&meta) {
+                        // A meta record names no bank or set.
+                        report.divergences.push(Divergence {
+                            index,
+                            engine: rec.src,
+                            bank: 0,
+                            set: 0,
+                            expected: "an engine geometry a validated config produces".into(),
+                            got: format!("{field} {value}"),
+                        });
+                        continue;
+                    }
                     announced.insert(meta.engine);
                     if meta.policy == POLICY_CHARGE_AWARE {
                         // A repeated meta record for a known engine id
@@ -212,19 +257,17 @@ pub fn replay(records: &[TraceRecord]) -> ReplayReport {
                 }
                 if got_trusted {
                     // Trusted skip: the skipped count must equal the
-                    // discharged population learned at the last scan.
+                    // discharged population learned at the last scan
+                    // (which a corrupt scan record can put above `rows`).
                     let expected_skips = state.discharged.unwrap_or(0);
-                    if rec.c != expected_skips || rec.b != rows - expected_skips {
-                        push(
-                            &mut report,
-                            index,
-                            rec,
-                            format!(
-                                "{} refreshed + {expected_skips} skipped",
-                                rows - expected_skips
-                            ),
-                            format!("{} refreshed + {} skipped", rec.b, rec.c),
-                        );
+                    let refreshed = rows.checked_sub(expected_skips);
+                    if rec.c != expected_skips || Some(rec.b) != refreshed {
+                        let expected = match refreshed {
+                            Some(r) => format!("{r} refreshed + {expected_skips} skipped"),
+                            None => format!("a scan count of at most {rows}, not {expected_skips}"),
+                        };
+                        let got = format!("{} refreshed + {} skipped", rec.b, rec.c);
+                        push(&mut report, index, rec, expected, got);
                     }
                 } else {
                     // Untrusted: full refresh, piggybacked rescan.
@@ -242,9 +285,6 @@ pub fn replay(records: &[TraceRecord]) -> ReplayReport {
                 }
             }
             _ => {}
-        }
-        if report.divergences.len() >= ReplayReport::MAX_DIVERGENCES {
-            break;
         }
     }
     report.engines_replayed = engines.len();
@@ -413,9 +453,64 @@ mod tests {
 
     #[test]
     fn out_of_range_set_is_a_divergence() {
-        let records = vec![meta(0), issue(0, 0, 99, 2, 0)];
-        let report = replay(&records);
-        assert_eq!(report.divergences.len(), 1);
+        // Set 5 of bank 0 is past its 4 sets, not bank 1's set 1.
+        for set in [99, 5] {
+            let records = vec![meta(0), issue(0, 0, set, 2, 0)];
+            let report = replay(&records);
+            assert_eq!(report.divergences.len(), 1, "set {set}");
+            assert!(report.divergences[0].expected.contains("geometry"));
+        }
+    }
+
+    #[test]
+    fn corrupt_meta_is_a_divergence_naming_the_field() {
+        // Each meta is followed by a write to the last row and a scan, so
+        // a model built from it would have to size, index and count with
+        // the corrupt field.
+        let corrupt = [
+            ("ar_sets_per_bank", u64::MAX),
+            ("ar_rows", 1 << 63),
+            ("num_banks", 0),
+            ("num_chips", 0),
+            ("ar_rows", 0),
+            ("ar_sets_per_bank", 0),
+            ("num_chips", 128),
+            ("ar_sets_per_bank", 16384),
+        ];
+        for (field, value) in corrupt {
+            let mut m = meta(0);
+            match field {
+                "num_banks" => m.bank = value as u32,
+                "num_chips" => m.a = value,
+                "ar_rows" => m.b = value,
+                _ => m.c = value,
+            }
+            let records = vec![m, write(0, 1, u64::MAX), issue(0, 1, 0, 2, 2)];
+            let report = replay(&records);
+            let d = &report.divergences[0];
+            assert_eq!((d.index, d.got.clone()), (0, format!("{field} {value}")));
+            assert_eq!(report.engines_replayed, 0, "{field} {value}");
+            assert_eq!(report.decisions_unverified, 1, "{field} {value}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_record_fields_do_not_overflow() {
+        // A set index past the geometry, on a bank past the first.
+        let report = replay(&[meta(0), issue(0, 1, u64::MAX, 2, 2)]);
         assert!(report.divergences[0].expected.contains("geometry"));
+        // A write to the last row under a chip count whose group ends
+        // past it.
+        let mut three_chips = meta(0);
+        three_chips.a = 3;
+        let report = replay(&[three_chips, write(0, 0, u64::MAX)]);
+        assert!(report.is_clean());
+        assert_eq!(report.writes_applied, 1);
+        // A scan claiming more discharged rows than its command covers,
+        // then a trusted skip of that set.
+        let report = replay(&[meta(0), issue(0, 0, 0, 2, u64::MAX), skip(0, 0, 0, 0, 2)]);
+        assert_eq!(report.divergences.len(), 1);
+        assert_eq!(report.divergences[0].index, 2);
+        assert!(report.divergences[0].expected.contains("at most 2"));
     }
 }

@@ -1,7 +1,7 @@
-//! The CLI writing into a pipe whose reader is already gone, as in
-//! `zr-trace diff a.zrt b.zrt | head`: the report stops quietly and the
-//! command keeps its own exit status instead of dying in a broken-pipe
-//! panic (exit 101).
+//! The CLI's exit statuses. Writing into a pipe whose reader is already
+//! gone, as in `zr-trace diff a.zrt b.zrt | head`, the report stops
+//! quietly and the command keeps its own exit status instead of dying in
+//! a broken-pipe panic (exit 101); a usage error exits 2 with one line.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -85,4 +85,26 @@ fn usage_errors_still_exit_2() {
     let out = into_closed_pipe(&["diff"], &[]);
     assert_quiet_exit(&out, 2, "diff without paths");
     assert!(String::from_utf8_lossy(&out.stderr).contains("two trace paths"));
+}
+
+#[test]
+fn inspect_rejects_a_bank_beyond_u32() {
+    let t = write_trace("bank-beyond-u32.zrt", 16, 0);
+    let flag = |bank: &str| {
+        let args = [
+            Path::new("inspect"),
+            &t,
+            Path::new("--bank"),
+            Path::new(bank),
+        ];
+        zr_trace(&args, Stdio::piped())
+    };
+    let out = flag("4294967297");
+    assert_quiet_exit(&out, 2, "inspect --bank 4294967297");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("--bank 4294967297"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    // Bank 1 itself still filters.
+    assert_quiet_exit(&flag("1"), 0, "inspect --bank 1");
 }

@@ -7,8 +7,9 @@ use std::sync::Arc;
 
 use zr_dram::RefreshPolicy;
 use zr_memctrl::MemoryController;
-use zr_trace::{parse_trace, replay, RecordKind, TraceRecord, TraceRecorder};
+use zr_trace::{parse_trace, replay, RecordKind, ReplayReport, TraceRecord, TraceRecorder};
 use zr_types::geometry::LineAddr;
+use zr_types::rng::cases;
 use zr_types::SystemConfig;
 
 /// Records a deterministic mixed read/write/refresh workload through the
@@ -90,19 +91,72 @@ fn flipped_decision_kind_reports_the_exact_record() {
     assert!(report.divergences[0].expected.contains("trusted"));
 }
 
-#[test]
-fn replay_survives_reserialization() {
-    // Serialize → parse → replay must agree with the in-memory records
-    // (the CLI path goes through the file form).
-    let records = record_workload();
+/// The file form of `records`: the header and one frame.
+fn serialize(records: &[TraceRecord]) -> Vec<u8> {
     let mut bytes = zr_trace::encode_header().to_vec();
     let payload: Vec<u8> = records.iter().flat_map(|r| r.encode()).collect();
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&(records.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    let reparsed = parse_trace(&bytes).unwrap();
+    bytes
+}
+
+#[test]
+fn replay_survives_reserialization() {
+    // Serialize → parse → replay must agree with the in-memory records
+    // (the CLI path goes through the file form).
+    let records = record_workload();
+    let reparsed = parse_trace(&serialize(&records)).unwrap();
     assert_eq!(reparsed, records);
     assert!(replay(&reparsed).is_clean());
+}
+
+/// A corrupt `.zrt` (flipped bytes, a truncation, or a meta field
+/// rewritten to an edge value) either fails to parse or replays to a
+/// report: no panic, and no allocation sized by a record field (a meta
+/// claiming 2^32 banks of 2^63 sets would otherwise ask for more memory
+/// than exists).
+#[test]
+fn corrupt_traces_parse_or_replay_without_panic() {
+    let records = record_workload();
+    let clean = serialize(&records);
+    let meta = records
+        .iter()
+        .position(|r| r.kind == RecordKind::Meta)
+        .expect("workload announced its engine");
+    let edges = [0, 1, 3, 64, 128, 8192, 1 << 32, 1 << 63, u64::MAX];
+    cases("corrupt_traces_parse_or_replay_without_panic", 256, |rng| {
+        let bytes = match rng.below(3) {
+            0 => {
+                let mut bytes = clean.clone();
+                for _ in 0..=rng.below(8) {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+                bytes
+            }
+            1 => clean[..rng.below(clean.len() as u64) as usize].to_vec(),
+            _ => {
+                let mut corrupt = records.clone();
+                let value = match rng.below(2) {
+                    0 => edges[rng.below(edges.len() as u64) as usize],
+                    _ => rng.next_u64(),
+                };
+                let m = &mut corrupt[meta];
+                match rng.below(4) {
+                    0 => m.bank = value as u32,
+                    1 => m.a = value,
+                    2 => m.b = value,
+                    _ => m.c = value,
+                }
+                serialize(&corrupt)
+            }
+        };
+        if let Ok(parsed) = parse_trace(&bytes) {
+            let report = replay(&parsed);
+            assert!(report.divergences.len() <= ReplayReport::MAX_DIVERGENCES);
+        }
+    });
 }
 
 #[test]
