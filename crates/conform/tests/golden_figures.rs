@@ -3,7 +3,8 @@
 //! Each test reruns a headline figure of the paper's evaluation at the
 //! dedicated `ExperimentConfig::conform_test()` scale, renders the result
 //! to JSON and compares it against the blessed snapshot in
-//! `tests/golden/` with figure tolerances. `ZR_BLESS=1` re-blesses.
+//! `tests/golden/` with figure tolerances (the Fig. 17 event cells to
+//! the bit). `ZR_BLESS=1` re-blesses.
 //!
 //! The benchmark slice is chosen to pin the figure's *shape*, not just a
 //! mean: the two best reducers (gemsFDTD, sphinx3), two of the worst
@@ -12,8 +13,8 @@
 
 use zr_bench::figures;
 use zr_conform::{golden_check, Tolerance};
-use zr_sim::experiments::ExperimentConfig;
-use zr_types::json::Json;
+use zr_sim::experiments::{ipc_sim, ExperimentConfig};
+use zr_types::json::{Json, ToJson};
 use zr_workloads::Benchmark;
 
 fn subset() -> [Benchmark; 6] {
@@ -101,6 +102,24 @@ fn golden_fig16_temperature() {
             .collect(),
     );
     if let Err(e) = golden_check("fig16_temperature", &doc, Tolerance::figures()) {
+        panic!("{e}");
+    }
+}
+
+#[test]
+fn golden_fig17_ipc_event() {
+    // The event-driven Fig. 17 cells come out of zr-timing's request
+    // generator and bank simulator; every field is pinned to the bit.
+    let doc = Json::Obj(
+        subset()
+            .iter()
+            .map(|&bench| {
+                let m = ipc_sim::measure(bench, &exp()).expect("fig17 event cell");
+                (m.benchmark.to_string(), m.to_json())
+            })
+            .collect(),
+    );
+    if let Err(e) = golden_check("fig17_ipc_event", &doc, Tolerance::exact()) {
         panic!("{e}");
     }
 }
