@@ -52,12 +52,14 @@ impl AccessBitTable {
         self.bit_count().div_ceil(8)
     }
 
-    /// Marks the AR set of `bank` as written.
+    /// Marks the AR set of `bank` as written: the per-set reference the
+    /// tests hold [`Self::mark_sets_written`] to.
     ///
     /// # Panics
     ///
     /// Panics if `bank` or `set` are out of range.
-    pub fn mark_written(&mut self, bank: BankId, set: u64) {
+    #[cfg(test)]
+    fn mark_written(&mut self, bank: BankId, set: u64) {
         let idx = self.index(bank, set);
         self.bits[idx / 64] |= 1u64 << (idx % 64);
         self.set_events += 1;
@@ -96,8 +98,8 @@ impl AccessBitTable {
         self.bits[idx / 64] &= !(1u64 << (idx % 64));
     }
 
-    /// Number of `mark_written` events (SRAM write activity, for the
-    /// energy model).
+    /// Number of set bits written (SRAM write activity, for the energy
+    /// model).
     pub fn write_events(&self) -> u64 {
         self.set_events
     }
@@ -168,22 +170,6 @@ impl DischargedStatusTable {
     /// Panics if indices are out of range.
     pub fn get(&self, chip: ChipId, bank: BankId, row: RowIndex) -> bool {
         self.bits[self.word_index(chip, bank, row)] >> (row.0 % 64) & 1 == 1
-    }
-
-    /// Stores the status of one chip-row *without* counting a table access
-    /// (used inside a batch covered by [`Self::note_write`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if indices are out of range.
-    pub fn set(&mut self, chip: ChipId, bank: BankId, row: RowIndex, discharged: bool) {
-        let idx = self.word_index(chip, bank, row);
-        let word = &mut self.bits[idx];
-        if discharged {
-            *word |= 1u64 << (row.0 % 64);
-        } else {
-            *word &= !(1u64 << (row.0 % 64));
-        }
     }
 
     /// Words per (bank, chip) region: chip `c`'s status bits for rows
@@ -422,14 +408,21 @@ mod tests {
 
     #[test]
     fn status_table_set_get() {
+        // The engine sets a command's status bits through the bank's
+        // words, chip by chip: chip 2's row r is bit r % 64 of word
+        // 2·words_per_bank + r / 64.
         let g = geom();
         let mut t = DischargedStatusTable::new(&g);
-        t.set(ChipId(2), BankId(1), RowIndex(33), true);
-        assert!(t.get(ChipId(2), BankId(1), RowIndex(33)));
+        let row = RowIndex(33);
+        let word = 2 * t.words_per_bank() + (row.0 / 64) as usize;
+        let bit = 1u64 << (row.0 % 64);
+        t.bank_words_mut(BankId(1))[word] |= bit;
+        assert!(t.get(ChipId(2), BankId(1), row));
         assert!(!t.get(ChipId(2), BankId(1), RowIndex(32)));
-        assert!(!t.get(ChipId(1), BankId(1), RowIndex(33)));
-        t.set(ChipId(2), BankId(1), RowIndex(33), false);
-        assert!(!t.get(ChipId(2), BankId(1), RowIndex(33)));
+        assert!(!t.get(ChipId(1), BankId(1), row));
+        assert!(!t.get(ChipId(2), BankId(0), row));
+        t.bank_words_mut(BankId(1))[word] &= !bit;
+        assert!(!t.get(ChipId(2), BankId(1), row));
     }
 
     #[test]

@@ -1,4 +1,21 @@
 //! Per-bank timing state: row-buffer tracking and refresh windows.
+//!
+//! A request asks two questions of its bank's refresh schedule: did a
+//! command begin since the bank was last busy (it closed the open row),
+//! and is one still in progress (wait it out). Both depend on the index
+//! of the command a time falls in, `(t − phase) / tREFI` rounded down.
+//! The times a bank asks about never decrease: its ready time, then a
+//! start no earlier than that, then, as the next ready time, a finish no
+//! earlier than the start. A correctly rounded quotient is monotone in
+//! `t`, so each bank keeps the index of the command its latest query fell
+//! in, the end of that command's busy window, and a bound below which the
+//! index cannot have changed. A query divides only when it reaches the
+//! bound, that is when the bank may have entered a new command.
+//!
+//! The bound is `(k + 1)·tREFI` shrunk by 2⁻⁵⁰. Below it the exact
+//! quotient is below `(k + 1)·(1 − 2⁻⁵¹)`, which is more than half an
+//! ulp under `k + 1`, so the rounded quotient stays below `k + 1` even
+//! with the bound's own two roundings.
 
 use crate::params::DerivedTiming;
 use zr_types::geometry::RowIndex;
@@ -14,6 +31,10 @@ pub enum AccessKind {
     RowConflict,
 }
 
+/// `1 − 2⁻⁵⁰`: shrinks a command boundary to a bound the rounded
+/// quotient cannot reach (see the module docs).
+const BELOW_BOUNDARY: f64 = 1.0 - 1.0 / (1u64 << 50) as f64;
+
 /// Timing state of one bank.
 ///
 /// Refresh is periodic: this bank's auto-refresh command `k` begins at
@@ -27,6 +48,14 @@ pub struct BankTiming {
     open_row: Option<RowIndex>,
     /// Phase offset of this bank's refresh schedule (banks are staggered).
     refresh_phase_ns: f64,
+    /// Index of the refresh command the latest query fell in, as the
+    /// row-closing test compares it: `-1` before the first command.
+    command: i64,
+    /// Times whose offset from the phase is below this still fall in
+    /// `command`.
+    command_until_rel_ns: f64,
+    /// End of `command`'s busy window (`-∞` before the first command).
+    command_busy_end_ns: f64,
     /// Counters.
     hits: u64,
     closed: u64,
@@ -42,6 +71,9 @@ impl BankTiming {
             ready_at_ns: 0.0,
             open_row: None,
             refresh_phase_ns: phase_ns,
+            command: -1,
+            command_until_rel_ns: 0.0,
+            command_busy_end_ns: f64::NEG_INFINITY,
             hits: 0,
             closed: 0,
             conflicts: 0,
@@ -60,24 +92,45 @@ impl BankTiming {
         (self.refresh_waits, self.refresh_wait_ns)
     }
 
-    /// Index of the last refresh command that *began* at or before `t`.
-    fn refresh_index_before(&self, t_ns: f64, timing: &DerivedTiming) -> Option<u64> {
+    /// The index of the last refresh command that began at or before
+    /// `t_ns` (`-1` before the first), from the cache while `t_ns` stays
+    /// below its bound. Queries must not decrease.
+    #[inline]
+    fn command_at(
+        &mut self,
+        t_ns: f64,
+        timing: &DerivedTiming,
+        busy_of: &mut impl FnMut(u64) -> f64,
+    ) -> i64 {
         let rel = t_ns - self.refresh_phase_ns;
-        if rel < 0.0 {
-            None
-        } else {
-            Some((rel / timing.t_refi_ns) as u64)
+        if rel < self.command_until_rel_ns {
+            return self.command;
         }
+        self.enter_command(rel, timing, busy_of);
+        self.command
+    }
+
+    /// Refills the cache with the command `rel` falls in: one division.
+    /// The bound is never negative, so `rel` is not either.
+    fn enter_command(
+        &mut self,
+        rel: f64,
+        timing: &DerivedTiming,
+        busy_of: &mut impl FnMut(u64) -> f64,
+    ) {
+        let k = (rel / timing.t_refi_ns) as u64;
+        let began = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
+        self.command = k as i64;
+        self.command_until_rel_ns = (k as f64 + 1.0) * timing.t_refi_ns * BELOW_BOUNDARY;
+        self.command_busy_end_ns = began + busy_of(k).clamp(0.0, timing.t_refi_ns);
     }
 
     /// Serves one access to `row` arriving at `arrival_ns`.
     ///
     /// Returns `(finish_time_ns, kind)`. `busy_of` maps a refresh command
-    /// index to its busy duration (skip-aware refresh shortens it). The
-    /// refresh index of the start time is computed once and answers both
-    /// questions a request asks of the schedule: did a refresh begin
-    /// since this bank was last busy (it closed the row), and is one still
-    /// in progress (wait it out).
+    /// index to its busy duration (skip-aware refresh shortens it); it
+    /// must be a function of the index, as it is asked once per command
+    /// the bank enters, not once per request.
     pub fn serve(
         &mut self,
         row: RowIndex,
@@ -86,22 +139,18 @@ impl BankTiming {
         mut busy_of: impl FnMut(u64) -> f64,
     ) -> (f64, AccessKind) {
         let mut start = arrival_ns.max(self.ready_at_ns);
-        let current = self.refresh_index_before(start, timing);
         // A refresh between our last activity and now closed the row.
-        let since = self.refresh_index_before(self.ready_at_ns.min(start), timing);
-        if index_or_minus_one(current) > index_or_minus_one(since) {
+        let since = self.command_at(self.ready_at_ns, timing, &mut busy_of);
+        if self.command_at(start, timing, &mut busy_of) > since {
             self.open_row = None;
         }
         // Wait out an in-progress refresh window.
-        if let Some(k) = current {
-            let began = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
-            let end = began + busy_of(k).clamp(0.0, timing.t_refi_ns);
-            if start < end {
-                self.refresh_waits += 1;
-                self.refresh_wait_ns += end - start;
-                start = end;
-                self.open_row = None;
-            }
+        let end = self.command_busy_end_ns;
+        if start < end {
+            self.refresh_waits += 1;
+            self.refresh_wait_ns += end - start;
+            start = end;
+            self.open_row = None;
         }
         let (service, kind) = match self.open_row {
             Some(open) if open == row => (timing.hit_service_ns(), AccessKind::RowHit),
@@ -114,52 +163,41 @@ impl BankTiming {
             AccessKind::RowConflict => self.conflicts += 1,
         }
         let finish = start + service;
+        // The next request's first query is this finish: the cache holds
+        // only while a bank's query times never decrease.
+        debug_assert!(
+            finish >= start,
+            "bank query time decreased from {start} ns to {finish} ns"
+        );
         self.ready_at_ns = finish;
         self.open_row = Some(row);
         (finish, kind)
     }
 }
 
-/// A refresh index as the row-closing test compares it: "no refresh
-/// yet" orders before every command, as `-1`.
-fn index_or_minus_one(k: Option<u64>) -> i64 {
-    k.map(|k| k as i64).unwrap_or(-1)
-}
-
-/// The request path before the refresh index was computed once per
-/// request, kept as the reference the unit tests compare against: one
-/// index computation for the row-closing test and another for the
-/// in-progress wait, and the busy-time closure behind `&mut dyn`.
+/// The request path before the refresh index was cached, kept as the
+/// reference the unit tests compare against: the index of the ready
+/// time and of the start computed by division on every request, and the
+/// busy-time closure behind `&mut dyn`.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
 
-    impl BankTiming {
-        /// If `t` falls inside a refresh busy window, returns the
-        /// window's end.
-        fn refresh_block_end(
-            &self,
-            t_ns: f64,
-            timing: &DerivedTiming,
-            busy_of: &mut dyn FnMut(u64) -> f64,
-        ) -> Option<f64> {
-            let k = self.refresh_index_before(t_ns, timing)?;
-            let start = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
-            let end = start + busy_of(k).clamp(0.0, timing.t_refi_ns);
-            (t_ns < end).then_some(end)
-        }
+    /// A refresh index as the row-closing test compares it: "no refresh
+    /// yet" orders before every command, as `-1`.
+    fn index_or_minus_one(k: Option<u64>) -> i64 {
+        k.map(|k| k as i64).unwrap_or(-1)
+    }
 
-        /// Whether any refresh began in `(from, to]`.
-        fn refresh_began_between(&self, from_ns: f64, to_ns: f64, timing: &DerivedTiming) -> bool {
-            let a = self
-                .refresh_index_before(from_ns, timing)
-                .map(|k| k as i64)
-                .unwrap_or(-1);
-            let b = self
-                .refresh_index_before(to_ns, timing)
-                .map(|k| k as i64)
-                .unwrap_or(-1);
-            b > a
+    impl BankTiming {
+        /// Index of the last refresh command that *began* at or before `t`.
+        fn refresh_index_before(&self, t_ns: f64, timing: &DerivedTiming) -> Option<u64> {
+            let rel = t_ns - self.refresh_phase_ns;
+            if rel < 0.0 {
+                None
+            } else {
+                Some((rel / timing.t_refi_ns) as u64)
+            }
         }
 
         /// [`BankTiming::serve`] as it was.
@@ -171,14 +209,20 @@ pub(crate) mod reference {
             busy_of: &mut dyn FnMut(u64) -> f64,
         ) -> (f64, AccessKind) {
             let mut start = arrival_ns.max(self.ready_at_ns);
-            if self.refresh_began_between(self.ready_at_ns.min(start), start, timing) {
+            let current = self.refresh_index_before(start, timing);
+            let since = self.refresh_index_before(self.ready_at_ns.min(start), timing);
+            if index_or_minus_one(current) > index_or_minus_one(since) {
                 self.open_row = None;
             }
-            if let Some(end) = self.refresh_block_end(start, timing, busy_of) {
-                self.refresh_waits += 1;
-                self.refresh_wait_ns += end - start;
-                start = end;
-                self.open_row = None;
+            if let Some(k) = current {
+                let began = self.refresh_phase_ns + k as f64 * timing.t_refi_ns;
+                let end = began + busy_of(k).clamp(0.0, timing.t_refi_ns);
+                if start < end {
+                    self.refresh_waits += 1;
+                    self.refresh_wait_ns += end - start;
+                    start = end;
+                    self.open_row = None;
+                }
             }
             let (service, kind) = match self.open_row {
                 Some(open) if open == row => (timing.hit_service_ns(), AccessKind::RowHit),

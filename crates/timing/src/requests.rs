@@ -6,8 +6,18 @@
 //! and how large the touched footprint is. Determinism comes from an
 //! internal LCG, so streams are reproducible without external
 //! dependencies.
+//!
+//! Each request takes four consecutive LCG draws: its inter-arrival
+//! time, the locality test, the line and the write test. [`generate`]
+//! computes all four from the state before the request with jump-ahead
+//! constants, so they do not wait on each other; the stream is the one
+//! four single steps would draw. The row-slot and footprint moduli are
+//! masks when they are powers of two, and the near-or-far line choice is
+//! a select rather than a branch, as the locality test is a coin flip.
+//!
+//! [`generate`]: RequestGenerator::generate
 
-use zr_types::geometry::{LineAddr, LineLocation};
+use zr_types::geometry::LineAddr;
 use zr_types::{Error, Geometry, Result, SystemConfig};
 
 /// One memory request.
@@ -21,16 +31,29 @@ pub struct MemoryRequest {
     pub is_write: bool,
 }
 
-impl MemoryRequest {
-    /// Locates this request's bank/row/slot under `geom`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::AddressOutOfRange`] if the address exceeds the
-    /// capacity.
-    pub fn locate(&self, geom: &Geometry) -> Result<LineLocation> {
-        geom.locate(self.addr)
+/// The generator's LCG multiplier: `state ← A·state + C` (mod 2⁶⁴).
+const LCG_A: u64 = 6364136223846793005;
+/// The generator's LCG increment.
+const LCG_C: u64 = 1442695040888963407;
+
+/// `(Aⁿ, C·(Aⁿ⁻¹ + … + A + 1))`: `n` LCG steps as one multiply-add.
+const fn lcg_jump(n: u32) -> (u64, u64) {
+    let (mut a, mut c) = (1u64, 0u64);
+    let mut i = 0;
+    while i < n {
+        a = a.wrapping_mul(LCG_A);
+        c = c.wrapping_mul(LCG_A).wrapping_add(LCG_C);
+        i += 1;
     }
+    (a, c)
+}
+
+/// One to four steps ahead: the four draws of one request.
+const DRAW_JUMPS: [(u64, u64); 4] = [lcg_jump(1), lcg_jump(2), lcg_jump(3), lcg_jump(4)];
+
+/// A draw as a uniform `f64` in `[0, 1)`: its top 53 bits.
+fn unit_f64(draw: u64) -> f64 {
+    (draw >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Builder-style generator for request streams.
@@ -92,18 +115,6 @@ impl RequestGenerator {
         self
     }
 
-    fn next_u64(&mut self) -> u64 {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.state
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
     /// Generates `count` requests.
     ///
     /// # Errors
@@ -113,29 +124,93 @@ impl RequestGenerator {
         if self.footprint_lines == 0 {
             return Err(Error::invalid_config("empty request footprint"));
         }
-        let lines_per_row = self.geom.lines_per_row() as u64;
+        let slot_mask = self.geom.lines_per_row() as u64 - 1;
+        let footprint = self.footprint_lines;
+        let footprint_mask = footprint.is_power_of_two().then_some(footprint - 1);
+        let mut state = self.state;
         let mut t = 0.0f64;
         let mut last_line = 0u64;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            // Exponential-ish inter-arrival via inverse transform.
-            let u = self.next_f64().max(1e-12);
-            t += -self.arrival_interval_ns * u.ln();
-            let line = if self.next_f64() < self.row_locality {
-                // Stay within the same rank-row, different slot.
-                let row_base = last_line / lines_per_row * lines_per_row;
-                row_base + self.next_u64() % lines_per_row
-            } else {
-                self.next_u64() % self.footprint_lines
-            };
-            last_line = line;
-            out.push(MemoryRequest {
-                addr: LineAddr(line),
-                arrival_ns: t,
-                is_write: self.next_f64() < self.write_fraction,
-            });
-        }
+        // Collected from a counted range, so no push checks capacity.
+        let out = (0..count)
+            .map(|_| {
+                let [arrival, locality, address, write] =
+                    DRAW_JUMPS.map(|(a, c)| state.wrapping_mul(a).wrapping_add(c));
+                state = write;
+                // Exponential-ish inter-arrival via inverse transform.
+                let u = unit_f64(arrival).max(1e-12);
+                t += -self.arrival_interval_ns * u.ln();
+                // Stay within the same rank-row, different slot; or anywhere
+                // in the footprint.
+                let near = (last_line & !slot_mask) + (address & slot_mask);
+                let far = match footprint_mask {
+                    Some(mask) => address & mask,
+                    None => address % footprint,
+                };
+                let line = std::hint::select_unpredictable(
+                    unit_f64(locality) < self.row_locality,
+                    near,
+                    far,
+                );
+                last_line = line;
+                MemoryRequest {
+                    addr: LineAddr(line),
+                    arrival_ns: t,
+                    is_write: unit_f64(write) < self.write_fraction,
+                }
+            })
+            .collect();
+        self.state = state;
         Ok(out)
+    }
+}
+
+/// The generator before its draws were computed together, kept as the
+/// reference the unit tests compare against: one LCG step per draw, and
+/// both moduli and the near-or-far branch as written.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl RequestGenerator {
+        fn next_u64(&mut self) -> u64 {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.state
+        }
+
+        fn next_f64(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// [`RequestGenerator::generate`] as it was.
+        pub(super) fn generate_reference(&mut self, count: usize) -> Result<Vec<MemoryRequest>> {
+            if self.footprint_lines == 0 {
+                return Err(Error::invalid_config("empty request footprint"));
+            }
+            let lines_per_row = self.geom.lines_per_row() as u64;
+            let mut t = 0.0f64;
+            let mut last_line = 0u64;
+            let mut out = Vec::with_capacity(count);
+            for _ in 0..count {
+                let u = self.next_f64().max(1e-12);
+                t += -self.arrival_interval_ns * u.ln();
+                let line = if self.next_f64() < self.row_locality {
+                    let row_base = last_line / lines_per_row * lines_per_row;
+                    row_base + self.next_u64() % lines_per_row
+                } else {
+                    self.next_u64() % self.footprint_lines
+                };
+                last_line = line;
+                out.push(MemoryRequest {
+                    addr: LineAddr(line),
+                    arrival_ns: t,
+                    is_write: self.next_f64() < self.write_fraction,
+                });
+            }
+            Ok(out)
+        }
     }
 }
 
@@ -209,6 +284,64 @@ mod tests {
             .generate(100)
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Every field of every request as bits, so equality is exact.
+    fn request_bits(requests: &[MemoryRequest]) -> Vec<(u64, u64, bool)> {
+        requests
+            .iter()
+            .map(|r| (r.addr.0, r.arrival_ns.to_bits(), r.is_write))
+            .collect()
+    }
+
+    #[test]
+    fn generator_matches_the_reference_bit_for_bit() {
+        let mut footprints = [0u64; 2];
+        zr_types::rng::cases("generator_matches_the_reference", 64, |rng| {
+            let mut cfg = SystemConfig::paper_default();
+            if rng.below(2) == 0 {
+                // Three banks: the whole-memory footprint is not a power
+                // of two.
+                cfg.dram.num_banks = 3;
+                cfg.dram.capacity_bytes = 3 * 1024 * cfg.dram.row_bytes as u64;
+            }
+            let total = cfg.geometry().total_lines();
+            let footprint = match rng.below(4) {
+                0 => total,
+                1 => 1000,
+                2 => 1 << rng.below(20),
+                _ => 1 + rng.below(total),
+            };
+            let pick = |rng: &mut zr_types::rng::SplitMix64| match rng.below(3) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.unit_f64(),
+            };
+            let (locality, writes) = (pick(rng), pick(rng));
+            let mut gen = RequestGenerator::new(&cfg, rng.next_u64());
+            gen.arrival_interval_ns(1.0 + rng.unit_f64() * 400.0)
+                .row_locality(locality)
+                .write_fraction(writes)
+                .footprint_lines(footprint);
+            footprints[gen.footprint_lines.is_power_of_two() as usize] += 1;
+            let mut reference = gen.clone();
+            let context = format!(
+                "banks {} footprint {} locality {locality} writes {writes}",
+                cfg.dram.num_banks, gen.footprint_lines
+            );
+            // Two calls on one generator: the state carries over.
+            for _ in 0..2 {
+                let count = rng.below(3000) as usize;
+                let got = gen.generate(count).unwrap();
+                let want = reference.generate_reference(count).unwrap();
+                assert_eq!(request_bits(&got), request_bits(&want), "{context}");
+                assert_eq!(gen.state, reference.state, "{context}");
+            }
+        });
+        assert!(
+            footprints.iter().all(|&n| n > 0),
+            "battery missed a footprint shape: {footprints:?}"
+        );
     }
 
     #[test]

@@ -102,6 +102,11 @@ impl RefreshDurations {
             }
         }
     }
+
+    /// The busy time every command shares, or `None` for `PerSet`.
+    fn shared_busy_ns(&self, timing: &DerivedTiming) -> Option<f64> {
+        (!matches!(self, RefreshDurations::PerSet(_))).then(|| self.busy_ns(timing, 0, 0, 1))
+    }
 }
 
 /// FCFS rank timing simulator: per-bank row-buffer state, staggered
@@ -213,6 +218,8 @@ impl MemoryTimingSim {
     fn serve_all(&mut self, requests: &[MemoryRequest], stats: &mut TimingStats) -> Result<()> {
         let sets = self.geom.ar_sets_per_bank();
         let timing = self.timing;
+        let shared_busy = self.durations.shared_busy_ns(&timing);
+        let tracing = self.trace.is_active();
         for req in requests {
             let loc = self.geom.locate(req.addr)?;
             let bank_idx = loc.bank.0;
@@ -220,7 +227,9 @@ impl MemoryTimingSim {
             // arrival if four activates happened within tFAW.
             let arrival = self.rank_constrained_arrival(req.arrival_ns, stats);
             let durations = &self.durations;
-            let busy = |k: u64| durations.busy_ns(&timing, bank_idx, k % sets, sets);
+            let busy = |k: u64| {
+                shared_busy.unwrap_or_else(|| durations.busy_ns(&timing, bank_idx, k % sets, sets))
+            };
             let (finish, kind) = self.banks[bank_idx].serve(loc.row, arrival, &timing, busy);
             if kind != AccessKind::RowHit {
                 self.activates
@@ -233,7 +242,7 @@ impl MemoryTimingSim {
                 AccessKind::RowClosed => stats.row_closed += 1,
                 AccessKind::RowConflict => stats.row_conflicts += 1,
             }
-            if self.trace.is_active() {
+            if tracing {
                 self.trace_commands(req, bank_idx, loc.row.0, kind, finish);
             }
         }
@@ -629,6 +638,111 @@ mod tests {
         assert!(
             stalled > 0 && errors > 0 && variants.iter().all(|&v| v > 0),
             "battery never stalled ({stalled}), errored ({errors}) or missed a variant ({variants:?})"
+        );
+    }
+
+    /// `x` moved by `ulps` representable steps (`x` positive).
+    fn ulps_from(x: f64, ulps: i64) -> f64 {
+        f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+    }
+
+    #[test]
+    fn refresh_boundaries_match_the_reference_bit_for_bit() {
+        // Requests that reach their bank exactly on a command boundary
+        // `phase + k·tREFI` or 1-4 ulps either side: as a start (A), and
+        // as the ready time a later request asks about (B then C). Three
+        // banks give phases that are not binary fractions.
+        use zr_types::geometry::{BankId, LineLocation, RowIndex};
+        use zr_types::TemperatureMode;
+        let (mut stalled, mut hits) = (0u64, 0u64);
+        for temperature in [TemperatureMode::Extended, TemperatureMode::Normal] {
+            for banks in [8usize, 3] {
+                for t_rfc in [28.0, 175.0] {
+                    let mut cfg = config();
+                    cfg.timing.temperature = temperature;
+                    cfg.timing.t_rfc_ns = t_rfc;
+                    cfg.dram.num_banks = banks;
+                    cfg.dram.capacity_bytes = banks as u64 * 1024 * cfg.dram.row_bytes as u64;
+                    cfg.dram.cell_block_rows = 128;
+                    let geom = cfg.geometry();
+                    let timing = DerivedTiming::new(&cfg).unwrap();
+                    let t_refi = timing.t_refi_ns;
+                    let addr = |bank: usize, row: u64| {
+                        geom.line_addr(LineLocation {
+                            bank: BankId(bank),
+                            row: RowIndex(row),
+                            slot: 0,
+                        })
+                    };
+                    let services = [
+                        timing.hit_service_ns(),
+                        timing.closed_service_ns(),
+                        timing.conflict_service_ns(),
+                    ];
+                    let mut requests = Vec::new();
+                    let mut push = |bank: usize, row: u64, arrival_ns: f64| {
+                        requests.push(MemoryRequest {
+                            addr: addr(bank, row),
+                            arrival_ns,
+                            is_write: false,
+                        })
+                    };
+                    // Both tREFIs are 15625·2⁻ⁿ, so `k·tREFI` is exact below
+                    // about 2³⁹ commands; from 2⁴⁰ on the boundary itself
+                    // rounds, up by as much as half an ulp.
+                    let bases = [0u64, 8183, 1 << 20, 123_456_789, (1 << 40) - 8];
+                    for base in bases.into_iter().chain((41..44).map(|j| (1u64 << j) - 8)) {
+                        for k in base..base + 72 {
+                            for bank in 0..banks {
+                                let phase = bank as f64 * t_refi / banks as f64;
+                                let boundary = phase + k as f64 * t_refi;
+                                let ulps = ((k + bank as u64) % 9) as i64 - 4;
+                                if k % 4 < 2 {
+                                    push(bank, k % 3, ulps_from(boundary, ulps));
+                                } else {
+                                    let service = services[(k % 3) as usize];
+                                    push(bank, k % 2, ulps_from(boundary - service, ulps));
+                                    push(bank, k % 2, boundary + t_rfc + 10.0);
+                                }
+                            }
+                        }
+                    }
+                    let n = (geom.num_banks() as u64 * geom.ar_sets_per_bank()) as usize;
+                    let per_set = (0..n).map(|i| (i % 7) as f64 / 6.0).collect();
+                    for durations in [
+                        RefreshDurations::Conventional,
+                        RefreshDurations::Uniform {
+                            refreshed_fraction: 0.37,
+                        },
+                        RefreshDurations::PerSet(per_set),
+                    ] {
+                        let context =
+                            format!("{temperature:?} {banks} banks tRFC {t_rfc} {durations:?}");
+                        let mut sim = MemoryTimingSim::new(&cfg, durations.clone()).unwrap();
+                        let mut reference = reference::ReferenceSim::new(&cfg, durations).unwrap();
+                        for batch in requests.chunks(requests.len() / 3 + 1) {
+                            let (got, want) = (sim.process(batch), reference.process(batch));
+                            assert_eq!(
+                                stats_bits(&got.unwrap()),
+                                stats_bits(&want.unwrap()),
+                                "{context}"
+                            );
+                            assert_eq!(
+                                bank_counters(&sim.banks),
+                                bank_counters(&reference.banks),
+                                "{context}"
+                            );
+                        }
+                        assert_eq!(stats_bits(&sim.stats()), stats_bits(&reference.stats));
+                        stalled += sim.stats().refresh_stalled;
+                        hits += sim.stats().row_hits;
+                    }
+                }
+            }
+        }
+        assert!(
+            stalled > 0 && hits > 0,
+            "battery never stalled ({stalled}) or hit ({hits})"
         );
     }
 

@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use crate::record::{EngineMeta, RecordKind, TraceRecord};
 use zr_telemetry::{fraction_bounds, Histogram, HistogramSnapshot};
+use zr_types::{Error, Result};
 
 /// Filter for `inspect` dumps: a record passes when every set field
 /// matches.
@@ -80,7 +81,7 @@ pub struct TraceSummary {
 impl TraceSummary {
     /// Overall fraction of chip-row refreshes skipped.
     pub fn skip_fraction(&self) -> f64 {
-        let total = self.rows_refreshed + self.rows_skipped;
+        let total = u128::from(self.rows_refreshed) + u128::from(self.rows_skipped);
         if total == 0 {
             0.0
         } else {
@@ -90,14 +91,26 @@ impl TraceSummary {
 }
 
 /// Builds the [`TraceSummary`] of a record stream.
-pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidConfig`] naming the record and the field
+/// when a field of a corrupt trace overflows a count: a window index of
+/// `u64::MAX`, or row counts whose total passes `u64::MAX`.
+pub fn summarize(records: &[TraceRecord]) -> Result<TraceSummary> {
     let mut by_kind: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut engines = Vec::new();
     let mut windows = 0u64;
     let (mut refreshed, mut skipped) = (0u64, 0u64);
     let mut per_bank: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
     let skip_hist = Histogram::detached(&fraction_bounds());
-    for rec in records {
+    for (index, rec) in records.iter().enumerate() {
+        let overflow = |field: &str, value: u64, what: &str| {
+            Error::invalid_config(format!(
+                "record {index} ({}): field {field} = {value} overflows the {what}",
+                rec.kind.name()
+            ))
+        };
         *by_kind.entry(rec.kind.name()).or_default() += 1;
         match rec.kind {
             RecordKind::Meta => {
@@ -108,23 +121,33 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
                 }
             }
             RecordKind::WindowEnd => {
-                windows = windows.max(rec.a + 1);
-                let total = rec.b + rec.c;
+                let completed = rec
+                    .a
+                    .checked_add(1)
+                    .ok_or_else(|| overflow("a", rec.a, "window count"))?;
+                windows = windows.max(completed);
+                let total = u128::from(rec.b) + u128::from(rec.c);
                 if total > 0 {
                     skip_hist.observe(rec.c as f64 / total as f64);
                 }
             }
             RecordKind::RefIssue | RecordKind::RefSkip => {
-                refreshed += rec.b;
-                skipped += rec.c * (rec.kind == RecordKind::RefSkip) as u64;
+                let rows_skipped = rec.c * (rec.kind == RecordKind::RefSkip) as u64;
+                refreshed = refreshed
+                    .checked_add(rec.b)
+                    .ok_or_else(|| overflow("b", rec.b, "refreshed-row total"))?;
+                skipped = skipped
+                    .checked_add(rows_skipped)
+                    .ok_or_else(|| overflow("c", rec.c, "skipped-row total"))?;
+                // A bank's totals are parts of the two above.
                 let entry = per_bank.entry(rec.bank).or_default();
                 entry.0 += rec.b;
-                entry.1 += rec.c * (rec.kind == RecordKind::RefSkip) as u64;
+                entry.1 += rows_skipped;
             }
             _ => {}
         }
     }
-    TraceSummary {
+    Ok(TraceSummary {
         records: records.len() as u64,
         by_kind,
         engines,
@@ -133,7 +156,7 @@ pub fn summarize(records: &[TraceRecord]) -> TraceSummary {
         rows_skipped: skipped,
         per_bank,
         window_skip_fraction: skip_hist.snapshot(),
-    }
+    })
 }
 
 /// One aligned difference between two traces.
@@ -266,7 +289,7 @@ mod tests {
             window_end(0, 1, 3),
             window_end(1, 0, 4),
         ];
-        let s = summarize(&records);
+        let s = summarize(&records).unwrap();
         assert_eq!(s.records, 5);
         assert_eq!(s.by_kind["ref_skip"], 2);
         assert_eq!(s.windows, 2);
@@ -275,6 +298,30 @@ mod tests {
         assert_eq!(s.per_bank[&0], (0, 2));
         assert_eq!(s.window_skip_fraction.count, 2);
         assert!(s.skip_fraction() > 0.9);
+    }
+
+    #[test]
+    fn overflowing_fields_are_named_not_wrapped() {
+        let fails = |records: &[TraceRecord], want: &str| {
+            let err = summarize(records).unwrap_err().to_string();
+            assert!(err.contains(want), "{err}");
+        };
+        fails(
+            &[window_end(0, 1, 1), window_end(u64::MAX, 0, 0)],
+            "record 1 (window_end): field a = 18446744073709551615",
+        );
+        fails(
+            &[ref_skip(0, 0, u64::MAX), ref_skip(1, 0, 1)],
+            "record 1 (ref_skip): field c = 1 overflows the skipped-row total",
+        );
+        let mut issue = TraceRecord::new(RecordKind::RefIssue, 0);
+        issue.b = u64::MAX;
+        fails(&[issue, issue], "record 1 (ref_issue): field b");
+        // Totals that fit each count on their own, but not summed, still
+        // give a skip fraction.
+        let s = summarize(&[issue, ref_skip(0, 0, u64::MAX), window_end(0, u64::MAX, 1)]).unwrap();
+        assert_eq!(s.skip_fraction(), 0.5);
+        assert_eq!(s.window_skip_fraction.count, 1);
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn cmd_inspect(args: &[String], out: &mut Stdout) -> CmdResult {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let s = summarize(&records);
+    let s = summarize(&records)?;
     writeln!(out, "trace: {path}")?;
     writeln!(out, "records: {}", s.records)?;
     writeln!(out, "windows completed: {}", s.windows)?;

@@ -108,3 +108,28 @@ fn inspect_rejects_a_bank_beyond_u32() {
     // Bank 1 itself still filters.
     assert_quiet_exit(&flag("1"), 0, "inspect --bank 1");
 }
+
+#[test]
+fn inspect_rejects_a_trace_whose_counts_overflow() {
+    // One window_end at index u64::MAX and a ref_skip of u64::MAX rows
+    // on top of one more: the summary cannot count either.
+    let recorder = TraceRecorder::memory();
+    let mut end = TraceRecord::new(RecordKind::WindowEnd, 0);
+    end.a = u64::MAX;
+    let mut skip = TraceRecord::new(RecordKind::RefSkip, 0);
+    skip.c = u64::MAX;
+    for rec in [skip, end] {
+        recorder.record(rec);
+    }
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("overflowing-counts.zrt");
+    std::fs::write(&path, recorder.take_bytes()).unwrap();
+    let out = zr_trace(&[Path::new("inspect"), &path], Stdio::piped());
+    assert_quiet_exit(&out, 2, "inspect of overflowing counts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("record 1 (window_end): field a = 18446744073709551615"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "printed a summary");
+}

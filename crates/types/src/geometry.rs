@@ -66,6 +66,9 @@ pub struct Geometry {
     total_lines: u64,
     /// log2 of the lines per row, a quotient of validated powers of two.
     line_shift: u32,
+    /// log2 of the bank count when it is a power of two; other counts
+    /// are valid too and locate by division.
+    bank_shift: Option<u32>,
 }
 
 impl Geometry {
@@ -94,6 +97,11 @@ impl Geometry {
             capacity_bytes: config.dram.capacity_bytes,
             total_lines: config.dram.capacity_bytes / config.line.line_bytes as u64,
             line_shift: (config.dram.row_bytes / config.line.line_bytes).trailing_zeros(),
+            bank_shift: config
+                .dram
+                .num_banks
+                .is_power_of_two()
+                .then(|| config.dram.num_banks.trailing_zeros()),
         })
     }
 
@@ -183,9 +191,10 @@ impl Geometry {
     ///
     /// Rows are interleaved across banks at rank-row granularity, the
     /// common open-page mapping: consecutive rows of the physical address
-    /// space land in consecutive banks. The slot is a shift and a mask;
-    /// the bank count need not be a power of two, so the bank and row
-    /// cost one division.
+    /// space land in consecutive banks. The slot is a shift and a mask,
+    /// and so are the bank and row when the bank count is a power of two
+    /// (every figure's geometry). The bank count is not validated as one,
+    /// so other counts cost one division for the bank and row.
     ///
     /// # Errors
     ///
@@ -214,9 +223,18 @@ impl Geometry {
         }
         let global_row = line.0 >> self.line_shift;
         let slot = (line.0 & ((1 << self.line_shift) - 1)) as usize;
-        let bank = BankId((global_row % self.num_banks as u64) as usize);
-        let row = RowIndex(global_row / self.num_banks as u64);
-        Ok(LineLocation { bank, row, slot })
+        let (bank, row) = match self.bank_shift {
+            Some(shift) => (global_row & ((1 << shift) - 1), global_row >> shift),
+            None => (
+                global_row % self.num_banks as u64,
+                global_row / self.num_banks as u64,
+            ),
+        };
+        Ok(LineLocation {
+            bank: BankId(bank as usize),
+            row: RowIndex(row),
+            slot,
+        })
     }
 
     /// Inverse of [`Self::locate`].
